@@ -370,39 +370,27 @@ impl IntentPipeline {
         let whole = cmdoc.whole();
 
         // Assign each raw segment to the nearest centroid, then refine:
-        // same-cluster segments concatenate, as in the offline phase.
-        let mut per_cluster: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
-        for s in seg.segments() {
+        // same-cluster segments concatenate, as in the offline phase. The
+        // refined segments come back in first-appearance order, so the
+        // per-owner sums below run in the same order in every process.
+        let refined = refine_assigned(seg.segments().into_iter().map(|s| {
             let mut f = forum_cluster::segment_features(&cmdoc.segment_tables(s), &whole);
             if cfg.type1_weights_only {
                 f.truncate(forum_nlp::cm::NUM_FEATURES);
             }
-            let cluster = nearest_centroid(&f, &self.centroids);
-            per_cluster
-                .entry(cluster)
-                .or_default()
-                .push((s.first, s.end));
-        }
+            (nearest_centroid(&f, &self.centroids), (s.first, s.end))
+        }));
 
         let n = 2 * k;
         let mut acc: HashMap<u32, f64> = HashMap::new();
-        for (cluster, mut ranges) in per_cluster {
-            ranges.sort_unstable();
-            let mut terms = Vec::new();
-            for &(a, b) in &ranges {
-                terms.extend(cmdoc.doc.terms_in_sentences(a, b));
-            }
+        for seg in &refined {
+            let terms = doc_ranges_terms(&cmdoc, &seg.ranges);
             if terms.is_empty() {
                 continue;
             }
-            let index = &self.clusters[cluster].index;
+            let index = &self.clusters[seg.cluster].index;
             let weight = if self.weighted_combination {
-                let mut distinct: Vec<&str> = terms.iter().map(String::as_str).collect();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let mean =
-                    distinct.iter().map(|t| index.idf(t)).sum::<f64>() / distinct.len() as f64;
-                mean * mean
+                cluster_weight_for_terms(index, &terms)
             } else {
                 1.0
             };
@@ -452,29 +440,17 @@ impl IntentPipeline {
         };
         let whole = cmdoc.whole();
 
-        let mut per_cluster: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
-        if cmdoc.num_units() > 0 {
-            for s in seg.segments() {
+        let refined = if cmdoc.num_units() == 0 {
+            Vec::new()
+        } else {
+            refine_assigned(seg.segments().into_iter().map(|s| {
                 let mut f = forum_cluster::segment_features(&cmdoc.segment_tables(s), &whole);
                 if cfg.type1_weights_only {
                     f.truncate(forum_nlp::cm::NUM_FEATURES);
                 }
-                let cluster = nearest_centroid(&f, &self.centroids);
-                per_cluster
-                    .entry(cluster)
-                    .or_default()
-                    .push((s.first, s.end));
-            }
-        }
-
-        let mut refined: Vec<RefinedSegment> = per_cluster
-            .into_iter()
-            .map(|(cluster, mut ranges)| {
-                ranges.sort_unstable();
-                RefinedSegment { cluster, ranges }
-            })
-            .collect();
-        refined.sort_unstable_by_key(|s| s.ranges[0]);
+                (nearest_centroid(&f, &self.centroids), (s.first, s.end))
+            }))
+        };
 
         collection.docs.push(cmdoc);
         let d = collection.len() - 1;
@@ -929,6 +905,33 @@ fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
         .expect("at least one finite centroid")
 }
 
+/// Refines one post's cluster-assigned raw segments, given as
+/// `(cluster, (first, end))`, the way the offline phase does: segments of
+/// one cluster concatenate into a single refined segment with sorted
+/// ranges, and the refined segments are ordered by their first range
+/// (first-appearance order). The order is a function of the input alone,
+/// so anything summed over the result is reproducible across processes.
+pub fn refine_assigned(
+    assigned: impl IntoIterator<Item = (usize, (usize, usize))>,
+) -> Vec<RefinedSegment> {
+    let mut refined: Vec<RefinedSegment> = Vec::new();
+    for (cluster, range) in assigned {
+        // Linear scan: a post touches a handful of clusters at most.
+        match refined.iter_mut().find(|s| s.cluster == cluster) {
+            Some(s) => s.ranges.push(range),
+            None => refined.push(RefinedSegment {
+                cluster,
+                ranges: vec![range],
+            }),
+        }
+    }
+    for s in &mut refined {
+        s.ranges.sort_unstable();
+    }
+    refined.sort_unstable_by_key(|s| s.ranges[0]);
+    refined
+}
+
 /// The normalized terms of a refined segment.
 pub fn segment_terms(collection: &PostCollection, doc: usize, seg: &RefinedSegment) -> Vec<String> {
     ranges_terms(collection, doc, &seg.ranges)
@@ -945,11 +948,9 @@ pub fn ranges_terms(
 }
 
 /// [`ranges_terms`] over a single annotated document — the unit the mapped
-/// store path materializes lazily.
-pub(crate) fn doc_ranges_terms(
-    doc: &forum_segment::CmDoc,
-    ranges: &[(usize, usize)],
-) -> Vec<String> {
+/// store path materializes lazily, and what a post outside any collection
+/// (a new or pending post) is queried with.
+pub fn doc_ranges_terms(doc: &forum_segment::CmDoc, ranges: &[(usize, usize)]) -> Vec<String> {
     let mut terms = Vec::new();
     for &(first, end) in ranges {
         terms.extend(doc.doc.terms_in_sentences(first, end));
@@ -1094,6 +1095,55 @@ mod tests {
             "{raid_hits}/{}",
             hits.len()
         );
+    }
+
+    #[test]
+    fn match_new_post_is_bit_identical_across_calls() {
+        // A long post spanning several intention clusters: Algorithm 2 sums
+        // one score per consulted cluster into each owner, so a cluster
+        // visiting order taken from a freshly seeded HashMap would change
+        // those sums' last bits from call to call.
+        let (corpus, _coll, pipe) = build_small(300, 14);
+        let cfg = PipelineConfig::default();
+        let text = corpus.posts[..8]
+            .iter()
+            .map(|p| p.text.as_str())
+            .collect::<Vec<_>>()
+            .join(" ");
+        let doc = forum_text::Document::parse(forum_text::document::DocId(u32::MAX), &text);
+        let cmdoc = forum_segment::CmDoc::new(doc);
+        let whole = cmdoc.whole();
+        let clusters: std::collections::HashSet<usize> = cfg
+            .strategy
+            .run(&cmdoc)
+            .segments()
+            .into_iter()
+            .map(|s| {
+                let mut f = forum_cluster::segment_features(&cmdoc.segment_tables(s), &whole);
+                if cfg.type1_weights_only {
+                    f.truncate(forum_nlp::cm::NUM_FEATURES);
+                }
+                nearest_centroid(&f, &pipe.centroids)
+            })
+            .collect();
+        assert!(
+            clusters.len() >= 3,
+            "post spans {} clusters",
+            clusters.len()
+        );
+
+        let bits = |hits: Vec<(u32, f64)>| -> Vec<(u32, u64)> {
+            hits.into_iter().map(|(d, s)| (d, s.to_bits())).collect()
+        };
+        let first = bits(pipe.match_new_post(&cfg, &text, 10));
+        assert!(!first.is_empty());
+        for call in 1..50 {
+            assert_eq!(
+                bits(pipe.match_new_post(&cfg, &text, 10)),
+                first,
+                "call {call}"
+            );
+        }
     }
 
     #[test]

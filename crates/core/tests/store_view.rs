@@ -280,3 +280,80 @@ fn v1_store_remains_loadable_and_migrates() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn two_builds_of_one_corpus_save_byte_identical_stores() {
+    // Nothing in the build may depend on hash-seed order: every HashMap in
+    // this process gets fresh keys, so two builds must agree bit for bit.
+    // Generated posts rarely repeat a term, so twelve posts repeat
+    // twenty-four terms 1..=24 times each; each such unit's log-tf sum
+    // changes in the last bits under about half of all summation orders.
+    let words = [
+        "printer",
+        "display",
+        "router",
+        "kernel",
+        "monitor",
+        "keyboard",
+        "battery",
+        "laptop",
+        "screen",
+        "network",
+        "server",
+        "backup",
+        "memory",
+        "graphics",
+        "firmware",
+        "adapter",
+        "cable",
+        "speaker",
+        "wireless",
+        "partition",
+        "camera",
+        "modem",
+        "tablet",
+        "scanner",
+    ];
+    let mut texts: Vec<String> = forum_corpus::Corpus::generate(&forum_corpus::GenConfig {
+        domain: forum_corpus::Domain::TechSupport,
+        num_posts: 150,
+        seed: 78,
+    })
+    .posts
+    .into_iter()
+    .map(|p| p.text)
+    .collect();
+    for rotate in 0..12 {
+        let mut sentence: Vec<&str> = Vec::new();
+        for (i, w) in words
+            .iter()
+            .cycle()
+            .skip(rotate * 5)
+            .take(words.len())
+            .enumerate()
+        {
+            sentence.extend(std::iter::repeat_n(*w, i + 1));
+        }
+        texts.push(format!("My {} failed again.", sentence.join(" ")));
+    }
+    let dir = std::env::temp_dir().join(format!(
+        "intentmatch-store-repro-test-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let saved: Vec<Vec<u8>> = ["a.imp", "b.imp"]
+        .iter()
+        .map(|name| {
+            let coll = PostCollection::from_raw_texts(&texts);
+            let pipe = IntentPipeline::build(&coll, &PipelineConfig::default());
+            let path = dir.join(name);
+            store::save(&path, &coll, &pipe).expect("save v2");
+            std::fs::read(&path).expect("read store")
+        })
+        .collect();
+    assert!(
+        saved[0] == saved[1],
+        "two builds of one corpus saved different bytes"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -23,6 +23,7 @@
 use crate::index::{DocFilter, ScanCosts, ScoreScratch, SegmentIndex, WeightingScheme};
 use crate::weighting::{length_normalization, log_tf};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// One delta unit: the term statistics needed to score it against any
 /// query under the frozen base statistics. Terms are kept as strings —
@@ -46,9 +47,12 @@ pub struct DeltaUnit {
 }
 
 /// The pending units of one cluster index, appended between compactions.
+///
+/// Units are immutable once pushed and held by `Arc`, so cloning a delta
+/// (one per published serving epoch) copies pointers, never term tables.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaIndex {
-    units: Vec<DeltaUnit>,
+    units: Vec<Arc<DeltaUnit>>,
 }
 
 impl DeltaIndex {
@@ -68,7 +72,7 @@ impl DeltaIndex {
     }
 
     /// The pending units, in append order.
-    pub fn units(&self) -> &[DeltaUnit] {
+    pub fn units(&self) -> &[Arc<DeltaUnit>] {
         &self.units
     }
 
@@ -87,14 +91,14 @@ impl DeltaIndex {
         let log_tf_sum = freqs.iter().map(|&(_, f)| log_tf(f)).sum();
         let max_log_tf = freqs.iter().map(|&(_, f)| log_tf(f)).fold(0.0f64, f64::max);
         let unique_terms = freqs_len(&freqs);
-        self.units.push(DeltaUnit {
+        self.units.push(Arc::new(DeltaUnit {
             owner,
             freqs,
             unique_terms,
             total_terms: terms.len() as u32,
             log_tf_sum,
             max_log_tf,
-        });
+        }));
     }
 
     /// Drops every unit owned by `owner` (a deletion or supersession of a

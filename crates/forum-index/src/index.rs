@@ -501,6 +501,39 @@ pub(crate) struct UnitStats {
     pub(crate) log_tf_sum: f64,
 }
 
+/// Interns `terms` and appends one posting per distinct term for `unit`,
+/// returning the unit's `(unique_terms, log_tf_sum)`. Frequencies are
+/// counted in a `Vec` sorted by term id and `log_tf_sum` is summed in that
+/// order, so the sum's bits depend only on the terms — not on their input
+/// order or on any hash state — and two builds of one corpus are
+/// byte-identical.
+fn push_unit_postings(
+    vocab: &mut Vocabulary,
+    postings: &mut Vec<Vec<Posting>>,
+    unit: UnitId,
+    terms: &[String],
+) -> (u32, f64) {
+    let mut ids: Vec<TermId> = terms.iter().map(|t| vocab.intern(t)).collect();
+    ids.sort_unstable();
+    let mut freqs: Vec<(TermId, u32)> = Vec::with_capacity(ids.len());
+    for id in ids {
+        match freqs.last_mut() {
+            Some((last, tf)) if *last == id => *tf += 1,
+            _ => freqs.push((id, 1)),
+        }
+    }
+    let mut log_tf_sum = 0.0;
+    for &(term, tf) in &freqs {
+        log_tf_sum += log_tf(tf);
+        let idx = term.as_usize();
+        if idx >= postings.len() {
+            postings.resize_with(idx + 1, Vec::new);
+        }
+        postings[idx].push(Posting { unit, tf });
+    }
+    (freqs.len() as u32, log_tf_sum)
+}
+
 /// Builds a [`SegmentIndex`] incrementally.
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
@@ -519,23 +552,11 @@ impl IndexBuilder {
     /// external document `owner`. Returns the unit's id.
     pub fn add_unit(&mut self, owner: u32, terms: &[String]) -> UnitId {
         let unit = UnitId(u32::try_from(self.units.len()).expect("too many units"));
-        let mut freqs: HashMap<TermId, u32> = HashMap::new();
-        for t in terms {
-            let id = self.vocab.intern(t);
-            *freqs.entry(id).or_insert(0) += 1;
-        }
-        let mut log_tf_sum = 0.0;
-        for (&term, &tf) in &freqs {
-            log_tf_sum += log_tf(tf);
-            let idx = term.as_usize();
-            if idx >= self.postings.len() {
-                self.postings.resize_with(idx + 1, Vec::new);
-            }
-            self.postings[idx].push(Posting { unit, tf });
-        }
+        let (unique_terms, log_tf_sum) =
+            push_unit_postings(&mut self.vocab, &mut self.postings, unit, terms);
         self.units.push(UnitStats {
             owner,
-            unique_terms: freqs.len() as u32,
+            unique_terms,
             total_terms: terms.len() as u32,
             log_tf_sum,
         });
@@ -1258,22 +1279,9 @@ impl SegmentIndex {
     /// here — the paper re-runs grouping periodically instead.
     pub fn append_unit(&mut self, owner: u32, terms: &[String]) -> UnitId {
         let unit = UnitId(u32::try_from(self.units.len()).expect("too many units"));
-        let mut freqs: HashMap<TermId, u32> = HashMap::new();
-        for t in terms {
-            let id = self.vocab.intern(t);
-            *freqs.entry(id).or_insert(0) += 1;
-        }
-        let mut log_tf_sum = 0.0;
-        for (&term, &tf) in &freqs {
-            log_tf_sum += log_tf(tf);
-            let idx = term.as_usize();
-            if idx >= self.postings.len() {
-                self.postings.resize_with(idx + 1, Vec::new);
-            }
-            // `unit` is the largest id, so pushing keeps the list sorted.
-            self.postings[idx].push(Posting { unit, tf });
-        }
-        let unique = freqs.len() as u32;
+        // `unit` is the largest id, so pushing keeps every list sorted.
+        let (unique, log_tf_sum) =
+            push_unit_postings(&mut self.vocab, &mut self.postings, unit, terms);
         // Running mean update for the length-normalization statistic.
         let n = self.units.len() as f64;
         self.avg_unique = (self.avg_unique * n + f64::from(unique)) / (n + 1.0);
@@ -1684,6 +1692,43 @@ mod tests {
 
     fn terms(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn log_tf_sum_bits_do_not_depend_on_term_order() {
+        // Thirty distinct terms with tf 1..=30: about half of all orders
+        // sum these log-tf values to different last bits, so a
+        // hash-ordered sum differs between units (and between processes)
+        // while an id-ordered one cannot.
+        let mut words: Vec<String> = Vec::new();
+        for tf in 1..=30 {
+            words.extend(std::iter::repeat_n(format!("t{tf}"), tf));
+        }
+        // The first unit interns t1..t30 in tf order, so term-id order is
+        // tf order for every unit.
+        let mut b = IndexBuilder::new();
+        b.add_unit(0, &words);
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for owner in 1..20u32 {
+            let mut shuffled = words.clone();
+            for i in (1..shuffled.len()).rev() {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                shuffled.swap(i, (rng % (i as u64 + 1)) as usize);
+            }
+            b.add_unit(owner, &shuffled);
+        }
+        let index = b.build();
+        let expected: f64 = (1..=30u32).fold(0.0, |acc, tf| acc + log_tf(tf));
+        for u in &index.units {
+            assert_eq!(
+                u.log_tf_sum.to_bits(),
+                expected.to_bits(),
+                "owner {}",
+                u.owner
+            );
+        }
     }
 
     /// A small index: 5 units; "raid" is rare, "disk" is everywhere.

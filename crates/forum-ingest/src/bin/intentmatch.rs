@@ -762,8 +762,8 @@ fn cmd_stats(args: &[String]) -> CliResult {
              run `intentmatch compact` to fold in",
             epoch.delta.docs.len(),
             epoch.delta.num_units(),
-            epoch.delta.deleted.len(),
-            epoch.delta.superseded.len(),
+            epoch.delta.deleted().len(),
+            epoch.delta.superseded().len(),
         );
     }
     if let Some(path) = metrics_out {

@@ -25,10 +25,9 @@ use forum_obs::json::Json;
 use forum_obs::{Trace, TraceCosts, TraceStore};
 use forum_text::document::DocId;
 use forum_text::{Document, Segmentation};
-use intentmatch::pipeline::{segment_terms, RefinedSegment};
+use intentmatch::pipeline::{doc_ranges_terms, refine_assigned, segment_terms, RefinedSegment};
 use intentmatch::store::{self, StoreError};
 use intentmatch::{IntentPipeline, PipelineConfig, PostCollection};
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -216,11 +215,6 @@ impl LiveStore {
         !self.delta.is_empty()
     }
 
-    /// Whether `id` names a live document.
-    fn is_live(&self, id: u32) -> bool {
-        id < self.delta.next_id && !self.delta.deleted.contains(&id)
-    }
-
     /// Ingests one new post. Durable on return; the new epoch is published.
     pub fn add(&mut self, text: &str) -> Result<u32, IngestError> {
         let rec = WalRecord::Add {
@@ -281,7 +275,7 @@ impl LiveStore {
     /// units via tombstone, delta units physically); the id is never
     /// reused.
     pub fn delete(&mut self, id: u32) -> Result<(), IngestError> {
-        if !self.is_live(id) {
+        if !self.delta.is_live(id) {
             return Err(IngestError::UnknownDoc(id));
         }
         let rec = WalRecord::Delete { doc: id };
@@ -293,7 +287,7 @@ impl LiveStore {
     /// units stop surfacing immediately; the new text is segmented and
     /// assigned like an add.
     pub fn update(&mut self, id: u32, text: &str) -> Result<(), IngestError> {
-        if !self.is_live(id) {
+        if !self.delta.is_live(id) {
             return Err(IngestError::UnknownDoc(id));
         }
         let rec = WalRecord::Update {
@@ -366,59 +360,29 @@ impl LiveStore {
                 let id = self.delta.next_id;
                 self.delta.next_id += 1;
                 let dd = self.segment_and_assign(id, text, distance_evals);
-                self.insert_delta_doc(dd);
+                self.delta.insert_doc(dd);
                 obs.incr("ingest/added", 1);
                 Ok(id)
             }
             WalRecord::Delete { doc } => {
                 let id = *doc;
-                if !self.is_live(id) {
+                if !self.delta.is_live(id) {
                     return Err(IngestError::UnknownDoc(id));
                 }
-                self.remove_delta_doc(id);
-                self.delta.superseded.remove(&id);
-                self.delta.deleted.insert(id);
+                self.delta.delete(id);
                 obs.incr("ingest/deleted", 1);
                 Ok(id)
             }
             WalRecord::Update { doc, text } => {
                 let id = *doc;
-                if !self.is_live(id) {
+                if !self.delta.is_live(id) {
                     return Err(IngestError::UnknownDoc(id));
                 }
-                self.remove_delta_doc(id);
-                if id < self.base.len() as u32 {
-                    self.delta.superseded.insert(id);
-                }
+                self.delta.supersede(id);
                 let dd = self.segment_and_assign(id, text, distance_evals);
-                self.insert_delta_doc(dd);
+                self.delta.insert_doc(dd);
                 obs.incr("ingest/updated", 1);
                 Ok(id)
-            }
-        }
-    }
-
-    /// Inserts `dd` into the sorted delta doc list and appends its units to
-    /// the per-cluster delta indices.
-    fn insert_delta_doc(&mut self, dd: DeltaDoc) {
-        for (seg, terms) in dd.refined.iter().zip(&dd.terms) {
-            self.delta.deltas[seg.cluster].push_unit(dd.id, terms);
-        }
-        let pos = self
-            .delta
-            .docs
-            .binary_search_by_key(&dd.id, |d| d.id)
-            .unwrap_err();
-        self.delta.docs.insert(pos, dd);
-    }
-
-    /// Physically removes a pending document (if `id` names one) and its
-    /// delta units.
-    fn remove_delta_doc(&mut self, id: u32) {
-        if let Ok(pos) = self.delta.docs.binary_search_by_key(&id, |d| d.id) {
-            let dd = self.delta.docs.remove(pos);
-            for seg in &dd.refined {
-                self.delta.deltas[seg.cluster].remove_owner(id);
             }
         }
     }
@@ -446,7 +410,7 @@ impl LiveStore {
         let centroids = &self.centroid_matrix;
         let obs = forum_obs::Registry::global();
 
-        let mut per_cluster: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
+        let mut assigned: Vec<(usize, (usize, usize))> = Vec::new();
         if cmdoc.num_units() > 0 {
             for s in raw_seg.segments() {
                 let mut f = forum_cluster::segment_features(&cmdoc.segment_tables(s), &whole);
@@ -463,12 +427,12 @@ impl LiveStore {
                 if let Some((_, d)) = nearest {
                     obs.record("drift/centroid_dist_micros", (d.sqrt() * 1e6) as u64);
                 }
-                let assigned = match self.ingest_cfg.assign_eps {
+                let assigned_to = match self.ingest_cfg.assign_eps {
                     None => nearest.map(|(i, _)| i),
                     Some(eps) if eps.is_nan() || eps < 0.0 => None,
                     Some(eps) => nearest.filter(|&(_, d)| d <= eps * eps).map(|(i, _)| i),
                 };
-                let cluster = match (assigned, self.ingest_cfg.assign_eps) {
+                let cluster = match (assigned_to, self.ingest_cfg.assign_eps) {
                     (Some(c), _) => c,
                     (None, None) => unreachable!("at least one finite centroid"),
                     (None, Some(_)) => {
@@ -476,30 +440,14 @@ impl LiveStore {
                         continue;
                     }
                 };
-                per_cluster
-                    .entry(cluster)
-                    .or_default()
-                    .push((s.first, s.end));
+                assigned.push((cluster, (s.first, s.end)));
             }
         }
 
-        let mut refined: Vec<RefinedSegment> = per_cluster
-            .into_iter()
-            .map(|(cluster, mut ranges)| {
-                ranges.sort_unstable();
-                RefinedSegment { cluster, ranges }
-            })
-            .collect();
-        refined.sort_unstable_by_key(|s| s.ranges[0]);
+        let refined = refine_assigned(assigned);
         let terms: Vec<Vec<String>> = refined
             .iter()
-            .map(|seg| {
-                let mut t = Vec::new();
-                for &(a, b) in &seg.ranges {
-                    t.extend(cmdoc.doc.terms_in_sentences(a, b));
-                }
-                t
-            })
+            .map(|seg| doc_ranges_terms(&cmdoc, &seg.ranges))
             .collect();
         DeltaDoc {
             id,
@@ -510,7 +458,9 @@ impl LiveStore {
         }
     }
 
-    /// Publishes the current base + delta as a new serving epoch.
+    /// Publishes the current base + delta as a new serving epoch. The
+    /// epoch's delta is a clone of the writer's, which shares every
+    /// pending document, unit and tombstone set (see [`DeltaState`]).
     fn publish(&mut self) {
         self.epoch_counter += 1;
         let epoch = Arc::new(LiveEpoch::new(
@@ -556,7 +506,7 @@ impl LiveStore {
                 docs.push(dd.doc.clone());
                 raw_segmentations.push(dd.raw_seg.clone());
                 doc_segments.push(dd.refined.clone());
-            } else if (id as usize) < base_len && !self.delta.deleted.contains(&id) {
+            } else if (id as usize) < base_len && !self.delta.deleted().contains(&id) {
                 docs.push(base.collection.docs[id as usize].clone());
                 raw_segmentations.push(base.pipeline.raw_segmentations[id as usize].clone());
                 doc_segments.push(base.pipeline.doc_segments[id as usize].clone());

@@ -68,32 +68,47 @@ pub struct DeltaDoc {
 }
 
 /// Everything ingested since the last compaction.
+///
+/// Cloning a delta state — once per published epoch — copies pointers
+/// only: pending documents and their delta units are immutable behind
+/// `Arc`s, and the tombstone sets are `Arc`-shared and copied on write,
+/// by the mutators below, only when a delete or update changes them.
+/// Epochs therefore share every pending allocation with the writer and
+/// with each other.
 #[derive(Debug, Clone)]
 pub struct DeltaState {
     /// Pending documents, sorted by id.
-    pub docs: Vec<DeltaDoc>,
+    pub docs: Vec<Arc<DeltaDoc>>,
     /// One delta index per intention cluster (parallel to the base
     /// pipeline's clusters).
     pub deltas: Vec<DeltaIndex>,
     /// Ids that are dead everywhere: deleted documents.
-    pub deleted: HashSet<u32>,
+    deleted: Arc<HashSet<u32>>,
     /// Base ids whose *base* units are dead because the document was
     /// updated — the live version is the same-id entry in `docs`.
-    pub superseded: HashSet<u32>,
+    superseded: Arc<HashSet<u32>>,
+    /// Base owners whose units must not surface: deleted ∪ superseded,
+    /// restricted to base ids. Kept in step with the two sets above by
+    /// the mutators, which is why all three are private.
+    base_tombstones: Arc<HashSet<u32>>,
+    /// Number of documents in the base this delta applies to.
+    base_len: u32,
     /// The next id a fresh add receives.
     pub next_id: u32,
 }
 
 impl DeltaState {
-    /// An empty delta over `num_clusters` clusters, with fresh ids starting
-    /// at `next_id` (the compacted collection's length).
-    pub fn new(num_clusters: usize, next_id: u32) -> Self {
+    /// An empty delta over `num_clusters` clusters on top of a base of
+    /// `base_len` documents; fresh ids start at `base_len`.
+    pub fn new(num_clusters: usize, base_len: u32) -> Self {
         DeltaState {
             docs: Vec::new(),
             deltas: vec![DeltaIndex::new(); num_clusters],
-            deleted: HashSet::new(),
-            superseded: HashSet::new(),
-            next_id,
+            deleted: Arc::default(),
+            superseded: Arc::default(),
+            base_tombstones: Arc::default(),
+            base_len,
+            next_id: base_len,
         }
     }
 
@@ -107,12 +122,81 @@ impl DeltaState {
         self.docs
             .binary_search_by_key(&id, |d| d.id)
             .ok()
-            .map(|i| &self.docs[i])
+            .map(|i| &*self.docs[i])
     }
 
     /// Total pending units across all cluster deltas.
     pub fn num_units(&self) -> usize {
         self.deltas.iter().map(DeltaIndex::num_units).sum()
+    }
+
+    /// Ids that are dead everywhere: deleted documents.
+    pub fn deleted(&self) -> &HashSet<u32> {
+        &self.deleted
+    }
+
+    /// Base ids whose *base* units are dead because the document was
+    /// updated — the live version is the same-id entry in `docs`.
+    pub fn superseded(&self) -> &HashSet<u32> {
+        &self.superseded
+    }
+
+    /// Base owners whose units must not surface (deleted or superseded).
+    pub fn base_tombstones(&self) -> &HashSet<u32> {
+        &self.base_tombstones
+    }
+
+    /// Whether `id` names a live document.
+    pub fn is_live(&self, id: u32) -> bool {
+        id < self.next_id && !self.deleted.contains(&id)
+    }
+
+    /// Inserts a processed document (a fresh add, or the new version of an
+    /// updated one) and appends its units to the per-cluster deltas.
+    pub(crate) fn insert_doc(&mut self, dd: DeltaDoc) {
+        for (seg, terms) in dd.refined.iter().zip(&dd.terms) {
+            self.deltas[seg.cluster].push_unit(dd.id, terms);
+        }
+        let pos = self
+            .docs
+            .binary_search_by_key(&dd.id, |d| d.id)
+            .unwrap_err();
+        self.docs.insert(pos, Arc::new(dd));
+    }
+
+    /// Physically removes the pending document `id` (if it names one) and
+    /// its delta units.
+    fn remove_doc(&mut self, id: u32) {
+        if let Ok(pos) = self.docs.binary_search_by_key(&id, |d| d.id) {
+            let dd = self.docs.remove(pos);
+            for seg in &dd.refined {
+                self.deltas[seg.cluster].remove_owner(id);
+            }
+        }
+    }
+
+    /// Deletes live document `id`: drops its pending version and
+    /// tombstones it everywhere.
+    pub(crate) fn delete(&mut self, id: u32) {
+        self.remove_doc(id);
+        if self.superseded.contains(&id) {
+            Arc::make_mut(&mut self.superseded).remove(&id);
+        }
+        Arc::make_mut(&mut self.deleted).insert(id);
+        if id < self.base_len && !self.base_tombstones.contains(&id) {
+            Arc::make_mut(&mut self.base_tombstones).insert(id);
+        }
+    }
+
+    /// Drops live document `id`'s current version ahead of an update: a
+    /// pending version is removed, a base version is tombstoned. The
+    /// caller inserts the new version with [`DeltaState::insert_doc`].
+    pub(crate) fn supersede(&mut self, id: u32) {
+        self.remove_doc(id);
+        if id < self.base_len && !self.superseded.contains(&id) {
+            Arc::make_mut(&mut self.superseded).insert(id);
+            Arc::make_mut(&mut self.base_tombstones).insert(id);
+        }
     }
 }
 
@@ -125,9 +209,6 @@ pub struct LiveEpoch {
     pub base: Arc<BaseState>,
     /// Pending writes applied on top of the base.
     pub delta: DeltaState,
-    /// Base owners whose units must not surface: deleted ∪ superseded,
-    /// restricted to base ids. Precomputed once per epoch.
-    base_tombstones: HashSet<u32>,
     /// Monotone epoch counter, bumped by every publish.
     pub epoch: u64,
 }
@@ -135,20 +216,12 @@ pub struct LiveEpoch {
 impl LiveEpoch {
     /// Builds an epoch view over `base` + `delta`.
     pub fn new(base: Arc<BaseState>, delta: DeltaState, epoch: u64) -> Self {
-        let base_len = base.len() as u32;
-        let base_tombstones = delta
-            .deleted
-            .iter()
-            .chain(delta.superseded.iter())
-            .copied()
-            .filter(|&id| id < base_len)
-            .collect();
-        LiveEpoch {
-            base,
-            delta,
-            base_tombstones,
-            epoch,
-        }
+        debug_assert_eq!(
+            delta.base_len as usize,
+            base.len(),
+            "delta over another base"
+        );
+        LiveEpoch { base, delta, epoch }
     }
 
     /// One past the highest assigned document id.
@@ -163,7 +236,7 @@ impl LiveEpoch {
 
     /// Whether `id` names a live document.
     pub fn is_live(&self, id: u32) -> bool {
-        id < self.delta.next_id && !self.delta.deleted.contains(&id)
+        self.delta.is_live(id)
     }
 
     /// Whether the epoch has uncompacted writes.
@@ -370,7 +443,7 @@ impl LiveEpoch {
             n,
             scheme,
             Some(q),
-            &self.base_tombstones,
+            self.delta.base_tombstones(),
             filter,
             scratch,
         );
@@ -447,7 +520,10 @@ impl EpochHandle {
     }
 
     /// Atomically replaces the serving epoch. In-flight readers keep their
-    /// old `Arc`; new readers see `epoch`.
+    /// old `Arc`; new readers see `epoch`. The replaced epoch is released
+    /// after the lock is dropped, so no reader waits on it; whoever holds
+    /// its last reference frees it, and that only releases what no newer
+    /// epoch shares.
     pub fn publish(&self, epoch: Arc<LiveEpoch>) {
         forum_obs::Registry::global()
             .gauge("ingest/epoch")
@@ -459,6 +535,10 @@ impl EpochHandle {
                 .with("num_docs", epoch.num_docs() as u64)
                 .with("pending_units", epoch.delta.num_units() as u64),
         );
-        *self.inner.write().expect("epoch lock poisoned") = epoch;
+        let replaced = std::mem::replace(
+            &mut *self.inner.write().expect("epoch lock poisoned"),
+            epoch,
+        );
+        drop(replaced);
     }
 }

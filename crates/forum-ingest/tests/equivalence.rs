@@ -158,7 +158,7 @@ fn compact_is_bit_identical_to_direct_assembly() {
             docs.push(dd.doc.clone());
             raw_segmentations.push(dd.raw_seg.clone());
             doc_segments.push(dd.refined.clone());
-        } else if id < base_len && !epoch.delta.deleted.contains(&id) {
+        } else if id < base_len && !epoch.delta.deleted().contains(&id) {
             docs.push(base.collection.docs[id as usize].clone());
             raw_segmentations.push(base.pipeline.raw_segmentations[id as usize].clone());
             doc_segments.push(base.pipeline.doc_segments[id as usize].clone());

@@ -28,7 +28,9 @@
 //! bench reads its p50/p99 from).
 
 use crate::registry::Registry;
-use crate::serve::{drain_and_close, read_request, Handler, Response, Stopper, READ_TIMEOUT};
+use crate::serve::{
+    drain_and_close, read_request, shed_off_loop, Handler, Response, Stopper, READ_TIMEOUT,
+};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -41,10 +43,6 @@ pub const DEFAULT_WORKERS: usize = 4;
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 /// Default admission deadline.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(2);
-/// Cap on concurrently-draining shed responses; beyond it the connection
-/// is dropped without a reply so the accept loop never waits on a slow
-/// client to take its `503`.
-const MAX_SHED_THREADS: usize = 64;
 
 /// One admitted item with its admission bookkeeping.
 #[derive(Debug)]
@@ -251,28 +249,6 @@ impl PoolServer {
             let _ = worker.join();
         }
     }
-}
-
-/// Answers a shed connection `503` + `Retry-After` on a detached thread so
-/// a client slow to take its rejection can never wedge the accept loop;
-/// over [`MAX_SHED_THREADS`] concurrent drains the connection is dropped
-/// unanswered (the counter has already recorded the shed).
-fn shed_off_loop(
-    mut stream: TcpStream,
-    reason: &'static str,
-    retry_secs: u64,
-    shed_active: &Arc<AtomicUsize>,
-) {
-    if shed_active.load(Ordering::SeqCst) >= MAX_SHED_THREADS {
-        return;
-    }
-    shed_active.fetch_add(1, Ordering::SeqCst);
-    let shed_active = shed_active.clone();
-    std::thread::spawn(move || {
-        let _ = Response::shed(reason, retry_secs).write_to(&mut stream);
-        drain_and_close(&mut stream);
-        shed_active.fetch_sub(1, Ordering::SeqCst);
-    });
 }
 
 fn worker_loop(queue: &AdmissionQueue<TcpStream>, handler: &Handler, retry_secs: u64) {

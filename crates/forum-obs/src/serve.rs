@@ -40,6 +40,10 @@ pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 pub const DEFAULT_MAX_CONNECTIONS: usize = 16;
 /// Per-connection socket read timeout (bounds slow or stalled clients).
 pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
+/// Cap on concurrently-draining shed responses; beyond it the connection
+/// is dropped without a reply so the accept loop never waits on a slow
+/// client to take its `503`.
+const MAX_SHED_THREADS: usize = 64;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
@@ -323,6 +327,28 @@ pub(crate) fn drain_and_close(stream: &mut TcpStream) {
     }
 }
 
+/// Answers a shed connection `503` + `Retry-After` on a detached thread so
+/// a client slow to take its rejection can never wedge the accept loop;
+/// over [`MAX_SHED_THREADS`] concurrent drains the connection is dropped
+/// unanswered (the caller has already counted the shed).
+pub(crate) fn shed_off_loop(
+    mut stream: TcpStream,
+    reason: &'static str,
+    retry_secs: u64,
+    shed_active: &Arc<AtomicUsize>,
+) {
+    if shed_active.load(Ordering::SeqCst) >= MAX_SHED_THREADS {
+        return;
+    }
+    shed_active.fetch_add(1, Ordering::SeqCst);
+    let shed_active = shed_active.clone();
+    std::thread::spawn(move || {
+        let _ = Response::shed(reason, retry_secs).write_to(&mut stream);
+        drain_and_close(&mut stream);
+        shed_active.fetch_sub(1, Ordering::SeqCst);
+    });
+}
+
 /// The handler type [`HttpServer::run`] dispatches to.
 pub type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
@@ -391,7 +417,8 @@ impl HttpServer {
     /// Accepts and serves connections until [`Stopper::stop`] is called.
     /// Each connection is parsed, dispatched to `handler`, answered, and
     /// closed on its own thread; beyond `max_connections` concurrent
-    /// threads, connections are answered `503` inline without spawning.
+    /// threads, connections are shed with `503` + `Retry-After` by a
+    /// capped pool of detached drain threads (see `shed_off_loop`).
     ///
     /// Shutdown is graceful: after the accept loop exits, `run` waits
     /// (bounded) for in-flight connection threads to finish their
@@ -399,6 +426,7 @@ impl HttpServer {
     /// its reply onto the wire before the caller proceeds to exit.
     pub fn run(self, handler: Arc<Handler>) {
         let active = Arc::new(AtomicUsize::new(0));
+        let shed_active = Arc::new(AtomicUsize::new(0));
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -407,7 +435,7 @@ impl HttpServer {
             let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
             if active.load(Ordering::SeqCst) >= self.max_connections {
                 Registry::global().incr("serve/shed_total", 1);
-                let _ = Response::shed("connection cap reached", 1).write_to(&mut stream);
+                shed_off_loop(stream, "connection cap reached", 1, &shed_active);
                 continue;
             }
             active.fetch_add(1, Ordering::SeqCst);
