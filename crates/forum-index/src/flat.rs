@@ -337,12 +337,7 @@ impl<'a> FlatIndexView<'a> {
             }
             postings.push(plist);
         }
-        Ok(SegmentIndex::from_parts(
-            vocab,
-            postings,
-            units,
-            self.avg_unique,
-        ))
+        SegmentIndex::from_parts(vocab, postings, units, self.avg_unique)
     }
 }
 
@@ -435,6 +430,25 @@ mod tests {
             if let Ok(view) = FlatIndexView::parse(&all[..evil.len()]) {
                 let _ = view.materialize(); // Ok or Err; never a panic
             }
+        }
+    }
+
+    #[test]
+    fn non_finite_unit_statistics_fail_materialization() {
+        for (what, log_tf_sum, avg_unique) in [
+            ("NaN log-tf sum", f64::NAN, None),
+            ("infinite log-tf sum", f64::NEG_INFINITY, None),
+            ("NaN avg_unique", 2.0, Some(f64::NAN)),
+        ] {
+            let mut index = sample_index();
+            index.units[0].log_tf_sum = log_tf_sum;
+            if let Some(avg) = avg_unique {
+                index.avg_unique = avg;
+            }
+            let bytes = flat_bytes(&index);
+            let buf = aligned(&bytes);
+            let view = view_of(&buf, bytes.len());
+            assert!(view.materialize().is_err(), "{what}: materialized");
         }
     }
 

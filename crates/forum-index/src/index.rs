@@ -6,7 +6,7 @@
 //! length-normalized weighting of Eqs. 7/8, and accumulator-based top-n
 //! retrieval implementing the scoring loop of Algorithm 1.
 
-use crate::weighting::{length_normalization, log_tf, probabilistic_idf};
+use crate::weighting::{length_normalization, log_tf, log_tf_cached, probabilistic_idf};
 use forum_text::{TermId, Vocabulary};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
@@ -97,48 +97,88 @@ fn round_up_f32(x: f64) -> f32 {
     }
 }
 
-/// Builds the per-term impact sidecars for a finished index.
-fn build_impacts(
-    postings: &[Vec<Posting>],
-    units: &[UnitStats],
-    avg_unique: f64,
-) -> Vec<TermImpacts> {
+/// Builds the per-term impact sidecars for a finished index from its
+/// per-unit Eq. 7/8 denominators (see [`unit_denoms`]).
+fn build_impacts(postings: &[Vec<Posting>], denoms: &[f64]) -> Vec<TermImpacts> {
     postings
         .iter()
         .map(|plist| {
-            let idf = probabilistic_idf(units.len(), plist.len());
+            let idf = probabilistic_idf(denoms.len(), plist.len());
+            // `unit_denoms` rejects NaN, so every cap is a number and the
+            // impact sort below cannot fail.
             let caps_by_pos: Vec<f32> = plist
                 .iter()
-                .map(|p| {
-                    let stats = &units[p.unit.as_usize()];
-                    let nu = length_normalization(stats.unique_terms as usize, avg_unique);
-                    let denom = stats.log_tf_sum * nu;
-                    // The NaN check catches corrupt (checksum-less) store
-                    // statistics: decode must never panic, and a NaN cap
-                    // would poison the impact sort.
-                    if denom <= 0.0 || denom.is_nan() || idf <= 0.0 {
-                        0.0
-                    } else {
-                        let raw = log_tf(p.tf) / denom * idf;
-                        if raw.is_nan() {
-                            0.0
-                        } else {
-                            round_up_f32(raw)
-                        }
-                    }
+                .map(|p| match eq8_weight(denoms, p.unit.0, p.tf) {
+                    Some(w) if idf > 0.0 => round_up_f32(w * idf),
+                    _ => 0.0,
                 })
                 .collect();
             let mut order: Vec<u32> = (0..plist.len() as u32).collect();
             order.sort_unstable_by(|&a, &b| {
                 caps_by_pos[b as usize]
                     .partial_cmp(&caps_by_pos[a as usize])
-                    .expect("caps are finite")
+                    .expect("caps are not NaN")
                     .then(a.cmp(&b))
             });
             let postings: Vec<Posting> = order.iter().map(|&k| plist[k as usize]).collect();
             let caps: Vec<f32> = order.iter().map(|&k| caps_by_pos[k as usize]).collect();
             let ub = caps.first().map_or(0.0, |&c| f64::from(c));
             TermImpacts { postings, caps, ub }
+        })
+        .collect()
+}
+
+/// The Eq. 7/8 weight `(log tf + 1) / denom[unit]` of a posting with
+/// frequency `tf`, or `None` when the unit's denominator is not positive
+/// (the unit can never score). Every scoring path of the paper scheme —
+/// the exhaustive walk, both phases of the pruned walk, [`SegmentIndex::score_owner`],
+/// [`SegmentIndex::weight`] and the impact caps — goes through here, so
+/// the expression exists once. It is bit-identical to computing
+/// `log_tf(tf) / (log_tf_sum · NU)` from the raw [`UnitStats`], which is
+/// what the oracles ([`SegmentIndex::top_n_reference`], [`SegmentIndex::audit`])
+/// still do.
+#[inline]
+fn eq8_weight(denoms: &[f64], unit: u32, tf: u32) -> Option<f64> {
+    let denom = denoms[unit as usize];
+    if denom <= 0.0 {
+        return None;
+    }
+    Some(log_tf_cached(tf) / denom)
+}
+
+/// Computes each unit's Eq. 7/8 denominator `log_tf_sum · NU(unique_terms,
+/// avg_unique)` with the same expression, in the same order, as scoring
+/// from the raw statistics. Statistics come from untrusted store bytes on
+/// the decode paths, so a non-finite `avg_unique` or `log_tf_sum`, or a
+/// denominator that is NaN, is refused here: a NaN would otherwise
+/// surface as a panic in the first query that scores the unit. The error's
+/// `offset` is the index of the offending unit (`units.len()` for
+/// `avg_unique`).
+fn unit_denoms(
+    units: &[UnitStats],
+    avg_unique: f64,
+) -> Result<Vec<f64>, crate::codec::DecodeError> {
+    use crate::codec::DecodeError;
+    if !avg_unique.is_finite() {
+        return Err(DecodeError {
+            context: "non-finite average unique-term count",
+            offset: units.len(),
+        });
+    }
+    units
+        .iter()
+        .enumerate()
+        .map(|(u, stats)| {
+            let denom =
+                stats.log_tf_sum * length_normalization(stats.unique_terms as usize, avg_unique);
+            if stats.log_tf_sum.is_finite() && !denom.is_nan() {
+                Ok(denom)
+            } else {
+                Err(DecodeError {
+                    context: "non-finite unit log-tf sum",
+                    offset: u,
+                })
+            }
         })
         .collect()
 }
@@ -154,21 +194,37 @@ fn build_impacts(
 /// plus a lazily-invalidated min-heap over its (score, key) states. The
 /// floor stays `-∞` until `n` distinct keys have been offered, so scans
 /// over corpora with fewer than `n` candidates never prune at all.
-#[derive(Debug)]
+///
+/// Keys are dense — unit ids, or an index's owner slots — so the map is a
+/// pair of generation-marked arrays indexed by key, not a hash map: an
+/// offer costs two array loads. The tracker lives in [`ScoreScratch`] and
+/// is [`reset`](Self::reset) per scan, so its arrays and heap are reused.
+#[derive(Debug, Default)]
 struct FloorTracker {
     n: usize,
-    entries: HashMap<u32, f64>,
+    /// Tracked keys' best offered scores (valid where `mark == epoch`).
+    best: Vec<f64>,
+    /// Generation mark per key; an evicted key's mark is cleared to 0.
+    mark: Vec<u64>,
+    /// Current generation (starts at 1 after the first reset).
+    epoch: u64,
+    /// Number of tracked keys.
+    len: usize,
     heap: BinaryHeap<Reverse<Candidate>>,
     floor: f64,
 }
 
 impl FloorTracker {
-    fn new(n: usize) -> Self {
-        FloorTracker {
-            n,
-            entries: HashMap::with_capacity(n.min(4096)),
-            heap: BinaryHeap::with_capacity(n.min(4096) + 1),
-            floor: f64::NEG_INFINITY,
+    /// Starts tracking the `n` best of keys `0..num_keys`.
+    fn reset(&mut self, n: usize, num_keys: usize) {
+        self.n = n;
+        self.epoch += 1;
+        self.len = 0;
+        self.heap.clear();
+        self.floor = f64::NEG_INFINITY;
+        if self.best.len() < num_keys {
+            self.best.resize(num_keys, 0.0);
+            self.mark.resize(num_keys, 0);
         }
     }
 
@@ -178,11 +234,18 @@ impl FloorTracker {
         self.floor
     }
 
+    /// Whether `key` is tracked with exactly `score`.
+    #[inline]
+    fn holds(&self, key: u32, score: f64) -> bool {
+        let k = key as usize;
+        self.mark[k] == self.epoch && self.best[k] == score
+    }
+
     /// Pops heap entries that no longer reflect the map (superseded scores
     /// or evicted keys), leaving the true minimum on top.
     fn drop_stale(&mut self) {
         while let Some(Reverse(top)) = self.heap.peek() {
-            if self.entries.get(&top.key) == Some(&top.score) {
+            if self.holds(top.key, top.score) {
                 break;
             }
             self.heap.pop();
@@ -196,24 +259,26 @@ impl FloorTracker {
         if score <= self.floor {
             return;
         }
-        if let Some(s) = self.entries.get_mut(&key) {
-            if score <= *s {
+        let k = key as usize;
+        if self.mark[k] == self.epoch {
+            if score <= self.best[k] {
                 return;
             }
-            *s = score;
-        } else if self.entries.len() < self.n {
-            self.entries.insert(key, score);
+        } else if self.len < self.n {
+            self.mark[k] = self.epoch;
+            self.len += 1;
         } else {
             // Full and strictly above the floor: evict the current minimum.
             self.drop_stale();
             let Some(Reverse(min)) = self.heap.pop() else {
                 return;
             };
-            self.entries.remove(&min.key);
-            self.entries.insert(key, score);
+            self.mark[min.key as usize] = 0;
+            self.mark[k] = self.epoch;
         }
+        self.best[k] = score;
         self.heap.push(Reverse(Candidate { score, key }));
-        if self.entries.len() == self.n {
+        if self.len == self.n {
             self.drop_stale();
             self.floor = self
                 .heap
@@ -295,14 +360,17 @@ impl ScanCosts {
     }
 }
 
-/// Reusable scoring scratch: dense per-unit accumulators plus the per-owner
-/// aggregation map, sized once and reused query after query so the hot
-/// online path performs no postings-sized allocations.
+/// Reusable scoring scratch: dense per-unit accumulators, dense per-owner
+/// maxima and the early-termination floor tracker, sized once and reused
+/// query after query so the hot online path performs no postings-sized
+/// allocations and no hashing.
 ///
-/// The dense array is epoch-marked: `begin` bumps a generation counter
+/// The dense arrays are epoch-marked: `begin` bumps a generation counter
 /// instead of zeroing, so resetting between queries is O(touched units),
-/// not O(index units). One scratch per worker thread; it never needs to
-/// cross threads.
+/// not O(index units). Per-owner arrays are indexed by the scanned index's
+/// owner *slot* (`0..distinct owners`), never by a raw owner id, so their
+/// length follows the largest owner count scanned. One scratch per worker
+/// thread; it never needs to cross threads.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     /// Per-unit accumulated scores (valid only where `mark == epoch`).
@@ -313,8 +381,15 @@ pub struct ScoreScratch {
     epoch: u64,
     /// Units with accumulated score this query, in first-touch order.
     touched: Vec<u32>,
-    /// Per-owner best unit score (reused by [`SegmentIndex::top_owners_with_scratch`]).
-    owner_best: HashMap<u32, f64>,
+    /// Per-owner-slot best unit score (valid only where
+    /// `owner_mark == epoch`), filled by [`Self::top_owners`].
+    owner_best: Vec<f64>,
+    /// Generation mark per owner slot.
+    owner_mark: Vec<u64>,
+    /// Owner slots folded this query, in first-touch order.
+    owners_touched: Vec<u32>,
+    /// The pruned walk's floor tracker.
+    tracker: FloorTracker,
     /// Work counters, accumulated across scans until [`ScanCosts::take`]n
     /// (a multi-cluster query sums its per-cluster scans here).
     pub costs: ScanCosts,
@@ -367,22 +442,29 @@ impl ScoreScratch {
         self.scores[unit as usize]
     }
 
-    /// Folds the accumulated unit scores into per-owner maxima, skipping
-    /// `exclude_owner`'s units and any owner the visibility `filter`
-    /// rejects. Leaves the result in `owner_best`.
-    fn fold_owners(
+    /// Folds the accumulated unit scores of `index` into per-owner maxima,
+    /// skipping `exclude_owner`'s units and any owner the visibility
+    /// `filter` rejects, then selects the `n` best owners.
+    fn top_owners(
         &mut self,
-        units: &[UnitStats],
+        index: &SegmentIndex,
+        n: usize,
         exclude_owner: Option<u32>,
         filter: Option<DocFilter>,
-    ) {
-        self.owner_best.clear();
+    ) -> Vec<(u32, f64)> {
+        let slots = &index.owner_slots;
+        self.owners_touched.clear();
+        if self.owner_best.len() < slots.owner.len() {
+            self.owner_best.resize(slots.owner.len(), 0.0);
+            self.owner_mark.resize(slots.owner.len(), 0);
+        }
         for &u in &self.touched {
             let s = self.scores[u as usize];
             if s <= 0.0 {
                 continue;
             }
-            let owner = units[u as usize].owner;
+            let slot = slots.of_unit[u as usize];
+            let owner = slots.owner[slot as usize];
             if exclude_owner == Some(owner) {
                 self.costs.candidates_pruned += 1;
                 continue;
@@ -391,11 +473,37 @@ impl ScoreScratch {
                 self.costs.candidates_pruned += 1;
                 continue;
             }
-            let best = self.owner_best.entry(owner).or_insert(f64::NEG_INFINITY);
-            if s > *best {
-                *best = s;
+            let k = slot as usize;
+            if self.owner_mark[k] != self.epoch {
+                self.owner_mark[k] = self.epoch;
+                self.owner_best[k] = s;
+                self.owners_touched.push(slot);
+            } else if s > self.owner_best[k] {
+                self.owner_best[k] = s;
             }
         }
+        let best = &self.owner_best;
+        select_top_n_counted(
+            self.owners_touched
+                .iter()
+                .map(|&k| (slots.owner[k as usize], best[k as usize])),
+            n,
+            &mut self.costs.heap_displacements,
+        )
+    }
+
+    /// Selects the `n` best touched units with a positive score.
+    fn top_units(&mut self, n: usize) -> Vec<(UnitId, f64)> {
+        let scores = &self.scores;
+        let positive = self
+            .touched
+            .iter()
+            .map(|&u| (u, scores[u as usize]))
+            .filter(|&(_, s)| s > 0.0);
+        select_top_n_counted(positive, n, &mut self.costs.heap_displacements)
+            .into_iter()
+            .map(|(u, s)| (UnitId(u), s))
+            .collect()
     }
 }
 
@@ -579,16 +687,8 @@ impl IndexBuilder {
                 .sum::<f64>()
                 / self.units.len() as f64
         };
-        let impacts = build_impacts(&self.postings, &self.units, avg_unique);
-        let owner_units = build_owner_units(&self.units);
-        SegmentIndex {
-            vocab: self.vocab,
-            postings: self.postings,
-            units: self.units,
-            avg_unique,
-            impacts: Some(impacts),
-            owner_units,
-        }
+        SegmentIndex::from_parts(self.vocab, self.postings, self.units, avg_unique)
+            .expect("built unit statistics are finite")
     }
 }
 
@@ -611,23 +711,56 @@ pub struct SegmentIndex {
     pub(crate) postings: Vec<Vec<Posting>>,
     pub(crate) units: Vec<UnitStats>,
     pub(crate) avg_unique: f64,
+    /// Per-unit Eq. 7/8 denominators `log_tf_sum · NU` (see
+    /// [`unit_denoms`]), derived from `units` and `avg_unique`.
+    denoms: Vec<f64>,
     /// Impact-ordered sidecars, one per postings list. `None` after
     /// [`Self::append_unit`]: appending changes `avg_unique` and IDFs
     /// globally, so every cap would need recomputation — scans fall back
     /// to the exhaustive walk until the next rebuild (`build`/`decode`/
     /// compaction) refreshes them.
     impacts: Option<Vec<TermImpacts>>,
-    /// Owner → its units, for exact random-access scoring ([`Self::score_owner`]).
-    owner_units: HashMap<u32, Vec<u32>>,
+    /// Dense owner numbering plus the owner → units map.
+    owner_slots: OwnerSlots,
 }
 
-/// Builds the owner → units map for a finished unit table.
-fn build_owner_units(units: &[UnitStats]) -> HashMap<u32, Vec<u32>> {
-    let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (u, stats) in units.iter().enumerate() {
-        map.entry(stats.owner).or_default().push(u as u32);
+/// A dense numbering of an index's distinct owners, in first-appearance
+/// order over the units. Owner ids come from the store and may be any
+/// `u32`; per-owner scratch arrays are indexed by slot instead, so they
+/// stay as long as the owner count.
+#[derive(Debug, Default)]
+struct OwnerSlots {
+    /// The owner slot of each unit.
+    of_unit: Vec<u32>,
+    /// The owner id of each slot.
+    owner: Vec<u32>,
+    /// Owner → its units, ascending, for exact random-access scoring
+    /// ([`SegmentIndex::score_owner`]).
+    units: HashMap<u32, Vec<u32>>,
+}
+
+impl OwnerSlots {
+    fn build(units: &[UnitStats]) -> Self {
+        let mut slots = OwnerSlots::default();
+        for (u, stats) in units.iter().enumerate() {
+            slots.push(stats.owner, u as u32);
+        }
+        slots
     }
-    map
+
+    /// Registers `unit` (the next unit id) as owned by `owner`.
+    fn push(&mut self, owner: u32, unit: u32) {
+        let list = self.units.entry(owner).or_default();
+        let slot = match list.first() {
+            Some(&first) => self.of_unit[first as usize],
+            None => {
+                self.owner.push(owner);
+                (self.owner.len() - 1) as u32
+            }
+        };
+        list.push(unit);
+        self.of_unit.push(slot);
+    }
 }
 
 impl SegmentIndex {
@@ -680,13 +813,7 @@ impl SegmentIndex {
         let Ok(pos) = plist.binary_search_by_key(&unit, |p| p.unit) else {
             return 0.0;
         };
-        let stats = &self.units[unit.as_usize()];
-        let nu = length_normalization(stats.unique_terms as usize, self.avg_unique);
-        let denom = stats.log_tf_sum * nu;
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        log_tf(plist[pos].tf) / denom
+        eq8_weight(&self.denoms, unit.0, plist[pos].tf).unwrap_or(0.0)
     }
 
     /// The probabilistic IDF of `term` in this index (the Eq. 9 fraction).
@@ -738,20 +865,7 @@ impl SegmentIndex {
             }),
             None,
         );
-        let ScoreScratch {
-            touched,
-            scores,
-            costs,
-            ..
-        } = scratch;
-        let positive = touched
-            .iter()
-            .map(|&u| (u, scores[u as usize]))
-            .filter(|&(_, s)| s > 0.0);
-        select_top_n_counted(positive, n, &mut costs.heap_displacements)
-            .into_iter()
-            .map(|(u, s)| (UnitId(u), s))
-            .collect()
+        scratch.top_units(n)
     }
 
     /// The top `n` *owners* (document ids) for a query: unit scores are
@@ -811,15 +925,7 @@ impl SegmentIndex {
             }),
             filter,
         );
-        scratch.fold_owners(&self.units, exclude_owner, filter);
-        let ScoreScratch {
-            owner_best, costs, ..
-        } = scratch;
-        select_top_n_counted(
-            owner_best.iter().map(|(&o, &s)| (o, s)),
-            n,
-            &mut costs.heap_displacements,
-        )
+        scratch.top_owners(self, n, exclude_owner, filter)
     }
 
     /// [`Self::top_owners_with`] forced down the exhaustive (no early
@@ -850,15 +956,7 @@ impl SegmentIndex {
         scratch: &mut ScoreScratch,
     ) -> Vec<(u32, f64)> {
         self.accumulate_scores_pruned(query, scheme, scratch, None, None);
-        scratch.fold_owners(&self.units, exclude_owner, filter);
-        let ScoreScratch {
-            owner_best, costs, ..
-        } = scratch;
-        select_top_n_counted(
-            owner_best.iter().map(|(&o, &s)| (o, s)),
-            n,
-            &mut costs.heap_displacements,
-        )
+        scratch.top_owners(self, n, exclude_owner, filter)
     }
 
     /// [`Self::top_n_with_scratch`] forced down the exhaustive path.
@@ -870,20 +968,7 @@ impl SegmentIndex {
         scratch: &mut ScoreScratch,
     ) -> Vec<(UnitId, f64)> {
         self.accumulate_scores_pruned(query, scheme, scratch, None, None);
-        let ScoreScratch {
-            touched,
-            scores,
-            costs,
-            ..
-        } = scratch;
-        let positive = touched
-            .iter()
-            .map(|&u| (u, scores[u as usize]))
-            .filter(|&(_, s)| s > 0.0);
-        select_top_n_counted(positive, n, &mut costs.heap_displacements)
-            .into_iter()
-            .map(|(u, s)| (UnitId(u), s))
-            .collect()
+        scratch.top_units(n)
     }
 
     /// Whether the impact sidecar is present (fresh builds and decodes)
@@ -895,7 +980,10 @@ impl SegmentIndex {
 
     /// The units owned by `owner`, ascending (empty if unknown).
     pub fn units_of_owner(&self, owner: u32) -> &[u32] {
-        self.owner_units.get(&owner).map_or(&[], Vec::as_slice)
+        self.owner_slots
+            .units
+            .get(&owner)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Random-access scoring for one owner: the exact per-owner score the
@@ -944,12 +1032,9 @@ impl SegmentIndex {
                         if idf <= 0.0 {
                             continue;
                         }
-                        let nu = length_normalization(stats.unique_terms as usize, self.avg_unique);
-                        let denom = stats.log_tf_sum * nu;
-                        if denom <= 0.0 {
+                        let Some(w) = eq8_weight(&self.denoms, u, plist[pos].tf) else {
                             continue;
-                        }
-                        let w = log_tf(plist[pos].tf) / denom;
+                        };
                         sum += f64::from(*qf) * w * idf;
                     }
                     WeightingScheme::Bm25 { k1, b } => {
@@ -1029,14 +1114,10 @@ impl SegmentIndex {
                     }
                     scratch.costs.postings_scanned += plist.len() as u64;
                     for p in plist {
-                        let stats = &self.units[p.unit.as_usize()];
-                        let nu = length_normalization(stats.unique_terms as usize, self.avg_unique);
-                        let denom = stats.log_tf_sum * nu;
-                        if denom <= 0.0 {
+                        let Some(w) = eq8_weight(&self.denoms, p.unit.0, p.tf) else {
                             scratch.costs.candidates_pruned += 1;
                             continue;
-                        }
-                        let w = log_tf(p.tf) / denom;
+                        };
                         scratch.add(p.unit.0, f64::from(*qf) * w * idf);
                     }
                 }
@@ -1094,7 +1175,12 @@ impl SegmentIndex {
             let ub = ids[i].map_or(0.0, |id| impacts[id.as_usize()].ub);
             rem[i] = rem[i + 1] + f64::from(query[i].1) * ub;
         }
-        let mut tracker = FloorTracker::new(target.n);
+        let num_keys = if target.owners {
+            self.owner_slots.owner.len()
+        } else {
+            self.units.len()
+        };
+        scratch.tracker.reset(target.n, num_keys);
         for (i, (_, qf)) in query.iter().enumerate() {
             let Some(id) = ids[i] else {
                 continue;
@@ -1120,22 +1206,18 @@ impl SegmentIndex {
             // n distinct keys and a finite floor.)
             while k < imp.postings.len() {
                 let tail_bound = qf64 * f64::from(imp.caps[k]) + s_next;
-                if tail_bound * BOUND_SLACK < tracker.floor() {
+                if tail_bound * BOUND_SLACK < scratch.tracker.floor() {
                     break;
                 }
                 let end = (k + IMPACT_BLOCK).min(imp.postings.len());
                 scratch.costs.postings_scanned += (end - k) as u64;
                 for p in &imp.postings[k..end] {
-                    let stats = &self.units[p.unit.as_usize()];
-                    let nu = length_normalization(stats.unique_terms as usize, self.avg_unique);
-                    let denom = stats.log_tf_sum * nu;
-                    if denom <= 0.0 {
+                    let Some(w) = eq8_weight(&self.denoms, p.unit.0, p.tf) else {
                         scratch.costs.candidates_pruned += 1;
                         continue;
-                    }
-                    let w = log_tf(p.tf) / denom;
+                    };
                     let s = scratch.add_returning(p.unit.0, qf64 * w * idf);
-                    self.offer_to_tracker(&mut tracker, target, filter, p.unit, s);
+                    self.offer_to_tracker(&mut scratch.tracker, target, filter, p.unit, s);
                 }
                 k = end;
             }
@@ -1146,18 +1228,15 @@ impl SegmentIndex {
                 let p = imp.postings[j];
                 if scratch.is_touched(p.unit.0) {
                     let bound = qf64 * f64::from(imp.caps[j]) + s_next;
-                    if (scratch.score_of(p.unit.0) + bound) * BOUND_SLACK >= tracker.floor() {
+                    if (scratch.score_of(p.unit.0) + bound) * BOUND_SLACK >= scratch.tracker.floor()
+                    {
                         scratch.costs.postings_scanned += 1;
-                        let stats = &self.units[p.unit.as_usize()];
-                        let nu = length_normalization(stats.unique_terms as usize, self.avg_unique);
-                        let denom = stats.log_tf_sum * nu;
-                        if denom <= 0.0 {
+                        let Some(w) = eq8_weight(&self.denoms, p.unit.0, p.tf) else {
                             scratch.costs.candidates_pruned += 1;
                             continue;
-                        }
-                        let w = log_tf(p.tf) / denom;
+                        };
                         let s = scratch.add_returning(p.unit.0, qf64 * w * idf);
-                        self.offer_to_tracker(&mut tracker, target, filter, p.unit, s);
+                        self.offer_to_tracker(&mut scratch.tracker, target, filter, p.unit, s);
                         continue;
                     }
                 }
@@ -1184,14 +1263,15 @@ impl SegmentIndex {
             return;
         }
         if target.owners {
-            let owner = self.units[unit.as_usize()].owner;
+            let slot = self.owner_slots.of_unit[unit.as_usize()];
+            let owner = self.owner_slots.owner[slot as usize];
             if target.exclude_owner == Some(owner) {
                 return;
             }
             if filter.is_some_and(|f| !f(owner)) {
                 return;
             }
-            tracker.offer(owner, score);
+            tracker.offer(slot, score);
         } else {
             tracker.offer(unit.0, score);
         }
@@ -1291,10 +1371,13 @@ impl SegmentIndex {
             total_terms: terms.len() as u32,
             log_tf_sum,
         });
-        self.owner_units.entry(owner).or_default().push(unit.0);
-        // Appending shifts `avg_unique` and every IDF, so all existing
-        // impact caps are stale; drop them and scan exhaustively until the
-        // next rebuild recomputes the sidecar.
+        self.owner_slots.push(owner, unit.0);
+        // Appending shifts `avg_unique`, so every unit's denominator is
+        // recomputed; it also shifts every IDF, so all existing impact caps
+        // are stale: drop them and scan exhaustively until the next rebuild
+        // recomputes the sidecar.
+        self.denoms =
+            unit_denoms(&self.units, self.avg_unique).expect("appended unit statistics are finite");
         self.impacts = None;
         unit
     }
@@ -1390,30 +1473,34 @@ impl SegmentIndex {
         // The impact sidecars are derived data: rebuilding them here keeps
         // the on-disk format at v1 and guarantees they always match the
         // decoded postings.
-        Ok(SegmentIndex::from_parts(vocab, postings, units, avg_unique))
+        SegmentIndex::from_parts(vocab, postings, units, avg_unique)
     }
 
-    /// Assembles an index from decoded parts, rebuilding the derived data
-    /// (impact sidecars, owner → units map) exactly as [`Self::decode`]
-    /// does. Both the v1 decode path and the flat store-v2 materialization
-    /// ([`crate::flat`]) funnel through here, so a lazily materialized
-    /// cluster is bit-identical to a heap-decoded one by construction.
+    /// Assembles an index from its parts, deriving the per-unit
+    /// denominators, the owner slots and the impact sidecars. The builder,
+    /// the v1 decode path and the flat store-v2 materialization
+    /// ([`crate::flat`]) all funnel through here, so a lazily materialized
+    /// cluster is bit-identical to a heap-decoded or freshly built one by
+    /// construction. Fails on non-finite unit statistics (see
+    /// [`unit_denoms`]).
     pub(crate) fn from_parts(
         vocab: Vocabulary,
         postings: Vec<Vec<Posting>>,
         units: Vec<UnitStats>,
         avg_unique: f64,
-    ) -> SegmentIndex {
-        let impacts = build_impacts(&postings, &units, avg_unique);
-        let owner_units = build_owner_units(&units);
-        SegmentIndex {
+    ) -> Result<SegmentIndex, crate::codec::DecodeError> {
+        let denoms = unit_denoms(&units, avg_unique)?;
+        let impacts = build_impacts(&postings, &denoms);
+        let owner_slots = OwnerSlots::build(&units);
+        Ok(SegmentIndex {
             vocab,
             postings,
             units,
             avg_unique,
+            denoms,
             impacts: Some(impacts),
-            owner_units,
-        }
+            owner_slots,
+        })
     }
 
     /// Full integrity audit for `intentmatch doctor`. Verifies every
@@ -1527,6 +1614,23 @@ impl SegmentIndex {
                     stats.log_tf_sum, log_tf_sum[u]
                 ));
             }
+            // The scan kernel's cached copies of the unit's denominator
+            // and owner must match the raw statistics exactly.
+            let denom = stats.log_tf_sum
+                * length_normalization(stats.unique_terms as usize, self.avg_unique);
+            if self.denoms.get(u).map(|d| d.to_bits()) != Some(denom.to_bits()) {
+                problems.push(format!(
+                    "unit {u}: cached denominator {:?} but statistics give {denom}",
+                    self.denoms.get(u)
+                ));
+            }
+            let slot = self.owner_slots.of_unit.get(u);
+            if slot.and_then(|&k| self.owner_slots.owner.get(k as usize)) != Some(&stats.owner) {
+                problems.push(format!(
+                    "unit {u}: owner slot {slot:?} does not name owner {}",
+                    stats.owner
+                ));
+            }
         }
         if n_units > 0 {
             let mean = self
@@ -1548,7 +1652,7 @@ impl SegmentIndex {
         // The owner → units map must be an exact inverse of the unit
         // table: every unit listed once, under its own owner.
         let mut seen = vec![false; n_units];
-        for (&owner, list) in &self.owner_units {
+        for (&owner, list) in &self.owner_slots.units {
             for &u in list {
                 match self.units.get(u as usize) {
                     None => problems.push(format!(
@@ -1661,7 +1765,7 @@ impl SegmentIndex {
 
         IndexAudit {
             units: n_units,
-            owners: self.owner_units.len(),
+            owners: self.owner_slots.owner.len(),
             vocabulary: self.vocab.len(),
             postings_total,
             postings_max,
@@ -2189,6 +2293,20 @@ mod tests {
         );
         let b = idx.top_n_reference(&query, 5, WeightingScheme::PaperTfIdf);
         assert_eq!(a, b);
+        // The append moved `avg_unique`, so every cached denominator was
+        // recomputed: the audit checks each one bit for bit, and every
+        // unit (not only the short top-5 ones) scores like the oracle.
+        let problems = idx.audit().problems;
+        assert!(problems.is_empty(), "{problems:?}");
+        assert_eq!(
+            idx.top_n_with_scratch(
+                &query,
+                usize::MAX,
+                WeightingScheme::PaperTfIdf,
+                &mut ScoreScratch::new()
+            ),
+            idx.top_n_reference(&query, usize::MAX, WeightingScheme::PaperTfIdf)
+        );
         // A codec round-trip rebuilds the sidecar.
         let mut w = crate::codec::Writer::new();
         idx.encode(&mut w);
@@ -2208,7 +2326,8 @@ mod tests {
 
     #[test]
     fn floor_tracker_lower_bounds_nth_best() {
-        let mut t = FloorTracker::new(3);
+        let mut t = FloorTracker::default();
+        t.reset(3, 5);
         assert_eq!(t.floor(), f64::NEG_INFINITY);
         t.offer(1, 5.0);
         t.offer(2, 3.0);
@@ -2255,6 +2374,170 @@ mod tests {
                     .score_owner(&query, WeightingScheme::PaperTfIdf, owner)
                     .is_none());
             }
+        }
+    }
+
+    /// Owner-level answer from the uncached oracle: `top_n_reference` over
+    /// every unit, max-folded per owner, `exclude` dropped, top `n`.
+    fn reference_owners(
+        idx: &SegmentIndex,
+        query: &[(String, u32)],
+        exclude: Option<u32>,
+        n: usize,
+    ) -> Vec<(u32, f64)> {
+        let mut best: HashMap<u32, f64> = HashMap::new();
+        for (unit, s) in idx.top_n_reference(query, usize::MAX, WeightingScheme::PaperTfIdf) {
+            let owner = idx.owner(unit);
+            if exclude != Some(owner) {
+                let b = best.entry(owner).or_insert(f64::NEG_INFINITY);
+                *b = b.max(s);
+            }
+        }
+        let mut out: Vec<(u32, f64)> = best.into_iter().collect();
+        out.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        out.truncate(n);
+        out
+    }
+
+    fn bits(hits: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        hits.iter().map(|&(o, s)| (o, s.to_bits())).collect()
+    }
+
+    #[test]
+    fn dense_fold_handles_sparse_owner_ids() {
+        // Owner ids span the whole u32 range; per-owner scratch must be
+        // indexed by slot, so it stays three entries long.
+        let owners = [0u32, 7, 4_000_000_000];
+        let mut b = IndexBuilder::new();
+        for i in 0..60u32 {
+            let mut t = terms(&["common", "filler"]);
+            if i % 3 == 0 {
+                t.push("rare".into());
+            }
+            if i % 4 == 1 {
+                t.extend(terms(&["mid", "mid"]));
+            }
+            t.push(format!("own{}", i % 5));
+            b.add_unit(owners[i as usize % 3], &t);
+        }
+        // Padding units (more than half the index) keep "common" and
+        // "filler" out of the zero-IDF band for the query terms.
+        for i in 0..70u32 {
+            b.add_unit(owners[i as usize % 3], &[format!("pad{i}")]);
+        }
+        let idx = b.build();
+        let query = SegmentIndex::query_from_terms(&terms(&["rare", "mid", "own1", "filler"]));
+        let mut scratch = ScoreScratch::new();
+        for n in [1, 2, 3, 10] {
+            for exclude in [None, Some(7), Some(4_000_000_000)] {
+                let got = idx.top_owners_with_scratch(
+                    &query,
+                    n,
+                    WeightingScheme::PaperTfIdf,
+                    exclude,
+                    &mut scratch,
+                );
+                let want = reference_owners(&idx, &query, exclude, n);
+                assert!(!got.is_empty());
+                assert_eq!(bits(&got), bits(&want), "n={n} exclude={exclude:?}");
+            }
+        }
+        assert_eq!(scratch.owner_best.len(), owners.len());
+        assert_eq!(scratch.owner_mark.len(), owners.len());
+        assert!(scratch.tracker.best.len() <= idx.num_units());
+    }
+
+    #[test]
+    fn reused_scratch_is_bit_identical_across_index_sizes() {
+        let large = skewed_index(1000);
+        let small = skewed_index(40);
+        let query = SegmentIndex::query_from_terms(&terms(&["alpha", "beta", "f3_0"]));
+        let fresh = |idx: &SegmentIndex, n: usize| {
+            idx.top_owners_with_scratch(
+                &query,
+                n,
+                WeightingScheme::PaperTfIdf,
+                None,
+                &mut ScoreScratch::new(),
+            )
+        };
+        let mut shared = ScoreScratch::new();
+        for (idx, n) in [
+            (&large, 5),
+            (&small, 5),
+            (&large, 5),
+            (&small, 30),
+            (&large, 3),
+        ] {
+            let reused = idx.top_owners_with_scratch(
+                &query,
+                n,
+                WeightingScheme::PaperTfIdf,
+                None,
+                &mut shared,
+            );
+            assert!(!reused.is_empty());
+            assert_eq!(
+                bits(&reused),
+                bits(&fresh(idx, n)),
+                "{} units",
+                idx.num_units()
+            );
+            assert_eq!(bits(&reused), bits(&reference_owners(idx, &query, None, n)));
+        }
+    }
+
+    #[test]
+    fn tombstone_over_fetch_past_the_owner_count_returns_the_full_page() {
+        let idx = skewed_index(200);
+        let query = SegmentIndex::query_from_terms(&terms(&["alpha", "beta"]));
+        let all = reference_owners(&idx, &query, None, usize::MAX);
+        let tombstones: std::collections::HashSet<u32> =
+            all.iter().step_by(3).map(|&(o, _)| o).collect();
+        let live: Vec<(u32, f64)> = all
+            .iter()
+            .filter(|(o, _)| !tombstones.contains(o))
+            .copied()
+            .collect();
+        // n beyond the number of owners: every live scoring owner returns.
+        let n = all.len() + 50;
+        let got = idx.top_owners_excluding(
+            &query,
+            n,
+            WeightingScheme::PaperTfIdf,
+            None,
+            &tombstones,
+            &mut ScoreScratch::new(),
+        );
+        assert_eq!(bits(&got), bits(&live));
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_unit_statistics() {
+        // Each edit reaches a v1 encoding the way a checksum-less store
+        // section would carry it, on the query's first matching unit.
+        let query = SegmentIndex::query_from_terms(&terms(&["raid", "controller"]));
+        let first_match = sample_index().top_n(&query, 1)[0].0.as_usize();
+        type Corrupt = fn(&mut SegmentIndex, usize);
+        let corruptions: [(&str, Corrupt); 4] = [
+            ("NaN log-tf sum", |i, u| i.units[u].log_tf_sum = f64::NAN),
+            ("infinite log-tf sum", |i, u| {
+                i.units[u].log_tf_sum = f64::INFINITY
+            }),
+            ("NaN avg_unique", |i, _| i.avg_unique = f64::NAN),
+            ("0 · ∞ denominator", |i, u| {
+                i.avg_unique = 1e-320;
+                i.units[u].log_tf_sum = 0.0;
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut idx = sample_index();
+            corrupt(&mut idx, first_match);
+            let mut w = crate::codec::Writer::new();
+            idx.encode(&mut w);
+            let bytes = w.into_bytes();
+            let got = SegmentIndex::decode(&mut crate::codec::Reader::new(&bytes));
+            assert!(got.is_err(), "{what}: decode accepted it");
         }
     }
 

@@ -11,6 +11,25 @@ pub fn log_tf(f: u32) -> f64 {
     }
 }
 
+/// Term frequencies below this are served from [`LOG_TF`]; nearly every
+/// posting of a segment-sized unit has a tf in single digits.
+const LOG_TF_TABLE_LEN: usize = 256;
+
+/// `log_tf(f)` for `f < LOG_TF_TABLE_LEN`, filled by calling [`log_tf`]
+/// itself so every entry has exactly its bits.
+static LOG_TF: std::sync::LazyLock<[f64; LOG_TF_TABLE_LEN]> =
+    std::sync::LazyLock::new(|| std::array::from_fn(|f| log_tf(f as u32)));
+
+/// [`log_tf`] without the `log10` for small `f`: a table lookup that is
+/// bit-identical to the direct call, falling back to it for large `f`.
+#[inline]
+pub(crate) fn log_tf_cached(f: u32) -> f64 {
+    match LOG_TF.get(f as usize) {
+        Some(&v) => v,
+        None => log_tf(f),
+    }
+}
+
 /// The probabilistic inverse document frequency of Eq. 9, adjusted for
 /// intention clusters: `log10((|I| − |I_t|) / |I_t|)` where `|I|` is the
 /// cluster's unit count and `|I_t|` the number of units containing the
@@ -52,6 +71,13 @@ mod tests {
         assert!((log_tf(1) - 1.0).abs() < 1e-12);
         assert!((log_tf(10) - 2.0).abs() < 1e-12);
         assert!(log_tf(5) > log_tf(2));
+    }
+
+    #[test]
+    fn log_tf_table_is_bit_identical() {
+        for f in (0..2 * LOG_TF_TABLE_LEN as u32).chain([u32::MAX - 1, u32::MAX]) {
+            assert_eq!(log_tf_cached(f).to_bits(), log_tf(f).to_bits(), "tf {f}");
+        }
     }
 
     #[test]

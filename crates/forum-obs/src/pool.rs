@@ -6,8 +6,10 @@
 //! process accumulates threads until the connection cap turns everything
 //! away. [`PoolServer`] inverts that shape:
 //!
-//! * a single non-blocking accept loop stamps every connection with an
-//!   admission deadline and pushes it into a bounded [`AdmissionQueue`];
+//! * a single blocking accept loop stamps every connection with an
+//!   admission deadline and pushes it into a bounded [`AdmissionQueue`]
+//!   (it sleeps in `accept`, so an idle server costs no wake-ups and a
+//!   connection is admitted the moment it arrives);
 //! * a fixed pool of workers pops connections, parses, dispatches, and
 //!   answers — parallelism is capped by the pool, not by the clients;
 //! * overload is shed *by deadline*: when the queue is full the entry
@@ -159,7 +161,7 @@ impl<T> AdmissionQueue<T> {
     }
 }
 
-/// The worker-pool server: non-blocking accept loop, bounded admission,
+/// The worker-pool server: blocking accept loop, bounded admission,
 /// deadline-aware shedding, drain-then-stop shutdown.
 pub struct PoolServer {
     listener: TcpListener,
@@ -223,13 +225,23 @@ impl PoolServer {
                 worker_loop(&queue, &*handler, retry_secs);
             }));
         }
-        self.listener
-            .set_nonblocking(true)
-            .expect("listener nonblocking");
+        self.accept_loop(&queue, retry_secs);
+        queue.close();
+        for worker in workers {
+            let _ = worker.join();
+        }
+    }
+
+    /// Admits connections into `queue` until [`Stopper::stop`]. `accept`
+    /// blocks; `stop` sets the flag and then wakes it with a throwaway
+    /// connection, so the flag is checked right after every accept and
+    /// the connection that carried the wake-up is dropped, never queued.
+    fn accept_loop(&self, queue: &AdmissionQueue<TcpStream>, retry_secs: u64) {
         let obs = Registry::global();
         let shed_active = Arc::new(AtomicUsize::new(0));
-        while !self.stop.load(Ordering::SeqCst) {
+        loop {
             match self.listener.accept() {
+                Ok(_) if self.stop.load(Ordering::SeqCst) => return,
                 Ok((stream, _)) => {
                     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                     if let Err(shed) = queue.push(stream, Instant::now() + self.deadline) {
@@ -238,15 +250,11 @@ impl PoolServer {
                     }
                     obs.gauge("serve/queue_depth").set(queue.len() as i64);
                 }
-                // WouldBlock: idle poll tick. Other errors (EMFILE, resets)
-                // are transient too — back off the same way rather than
-                // spinning or dying.
+                Err(_) if self.stop.load(Ordering::SeqCst) => return,
+                // EMFILE, resets and the like are transient: back off
+                // rather than spin or die.
                 Err(_) => std::thread::sleep(Duration::from_millis(1)),
             }
-        }
-        queue.close();
-        for worker in workers {
-            let _ = worker.join();
         }
     }
 }
@@ -402,6 +410,46 @@ mod tests {
         assert!(out.ends_with("pooled /a"), "{out}");
         stopper.stop();
         join.join().unwrap();
+    }
+
+    #[test]
+    fn stop_returns_promptly_and_never_serves_the_wake_up_connection() {
+        let hits = Arc::new(AtomicUsize::new(0));
+        let handler_hits = hits.clone();
+        let server = PoolServer::bind("127.0.0.1:0").unwrap().with_workers(1);
+        let (addr, stopper, join) = spawn_pool(server, move |_req| {
+            handler_hits.fetch_add(1, Ordering::SeqCst);
+            Response::text(200, "ok")
+        });
+        assert_eq!(
+            status_of(&raw_request(addr, "GET /a HTTP/1.1\r\n\r\n")),
+            200
+        );
+        // Let the loop block in accept again before stopping it.
+        std::thread::sleep(Duration::from_millis(50));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            join.join().unwrap();
+            done_tx.send(()).unwrap();
+        });
+        stopper.stop();
+        done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("run must return within 2 s of stop");
+        waiter.join().unwrap();
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+
+        // The accept loop alone: the wake-up connection is dropped, not
+        // admitted.
+        let server = PoolServer::bind("127.0.0.1:0").unwrap();
+        let stopper = server.stopper().unwrap();
+        let queue = Arc::new(AdmissionQueue::new(4));
+        let loop_queue = queue.clone();
+        let accepting = std::thread::spawn(move || server.accept_loop(&loop_queue, 1));
+        std::thread::sleep(Duration::from_millis(50));
+        stopper.stop();
+        accepting.join().unwrap();
+        assert!(queue.is_empty(), "the wake-up connection was queued");
     }
 
     #[test]
