@@ -849,7 +849,7 @@ pub fn obs_overhead(opts: &Options) {
     let run_queries = |passes: usize| {
         for _ in 0..passes {
             for q in 0..queries {
-                std::hint::black_box(engine.try_top_k(q, 5).expect("query must not panic"));
+                std::hint::black_box(engine.try_top_k(q, 5, None).expect("query must not panic"));
             }
         }
     };
@@ -935,10 +935,10 @@ pub fn trace_overhead(opts: &Options) {
 
     // Bit-identity gate first: tracing must never move a result bit.
     for q in 0..queries {
-        let untraced = engine.try_top_k(q, 5).expect("query must not panic");
+        let untraced = engine.try_top_k(q, 5, None).expect("query must not panic");
         let mut t = Trace::begin("query", None);
         let traced = engine
-            .try_top_k_traced(q, 5, Some(&mut t))
+            .try_top_k(q, 5, Some(&mut t))
             .expect("query must not panic");
         store.record(t);
         let identical = untraced.len() == traced.len()
@@ -967,10 +967,10 @@ pub fn trace_overhead(opts: &Options) {
                 let started = Instant::now();
                 if traced {
                     let mut t = Trace::begin("query", None);
-                    std::hint::black_box(engine.try_top_k_traced(q, 5, Some(&mut t)).unwrap());
+                    std::hint::black_box(engine.try_top_k(q, 5, Some(&mut t)).unwrap());
                     store.record(t);
                 } else {
-                    std::hint::black_box(engine.try_top_k(q, 5).unwrap());
+                    std::hint::black_box(engine.try_top_k(q, 5, None).unwrap());
                 }
                 lat.push(started.elapsed());
             }

@@ -15,9 +15,10 @@
 //!   [`QueryScratch`] — the dense score accumulators and combination map
 //!   — reused across every query it serves, so the steady-state path
 //!   performs no postings-sized allocations.
-//! * **Intra-query parallelism** ([`QueryEngine::top_k`]): when a single
-//!   query consults enough intention clusters, its Algorithm 1 scans run
-//!   in parallel and are combined in cluster order.
+//! * **Intra-query parallelism** ([`QueryEngine::try_top_k`]): when a
+//!   single query consults enough intention clusters, Algorithm 2's
+//!   runner ([`crate::pipeline::run_algo2`]) runs its per-cluster steps on
+//!   workers and folds them in cluster order.
 //! * **Determinism**: results are bit-identical to the sequential
 //!   [`IntentPipeline::top_k`] for every thread count — workers only
 //!   change *where* a query is evaluated, never its scan order, score
@@ -31,16 +32,13 @@
 
 use crate::collection::PostCollection;
 use crate::par::{try_parallel_map_init_with, WorkerPanic};
-use crate::pipeline::{
-    cluster_weight_for_terms, mr_top_k_scratch, query_cluster_groups, ranges_terms,
-    single_intention_scan, IntentPipeline, QueryScratch,
-};
+use crate::pipeline::{fold_weighted, query_cluster_groups, HeapMr, IntentPipeline, QueryScratch};
 use forum_obs::{Registry, Trace, TraceCosts};
 use std::collections::HashMap;
 use std::time::Instant;
 
 /// Maps index-level scan counters into the request-trace cost vocabulary.
-pub(crate) fn scan_to_trace_costs(scan: forum_index::ScanCosts, clusters: u64) -> TraceCosts {
+pub fn scan_to_trace_costs(scan: forum_index::ScanCosts, clusters: u64) -> TraceCosts {
     TraceCosts {
         clusters_routed: clusters,
         postings_scanned: scan.postings_scanned,
@@ -55,34 +53,19 @@ pub(crate) fn scan_to_trace_costs(scan: forum_index::ScanCosts, clusters: u64) -
 /// run in parallel. Below it, fan-out overhead beats the scan time.
 const DEFAULT_INTRA_QUERY_MIN_CLUSTERS: usize = 4;
 
-/// Algorithm 2's gather step over per-cluster scan results: folds
-/// `weight × score` per owner in the order the scans are supplied —
-/// which callers MUST keep as cluster-consultation order, so every
-/// floating-point sum matches the sequential [`IntentPipeline::top_k`]
-/// bit for bit — then sorts (score desc, owner asc) and truncates to `k`.
+/// Algorithm 2's fold ([`fold_weighted`]) over per-cluster scan results
+/// supplied as `(weight, hits)` — which callers MUST keep in
+/// cluster-consultation order, so every floating-point sum matches the
+/// sequential [`IntentPipeline::top_k`] bit for bit.
 ///
-/// This is the single merge both the engine's intra-query parallel path
-/// and the shard-parallel serving tier (`forum-shard`) funnel through:
-/// sharing the code is what makes "sharded ≡ unsharded" a structural
-/// property rather than a re-implementation contract.
+/// The shard-parallel serving tier (`forum-shard`) merges through this,
+/// so "sharded ≡ unsharded" is a structural property rather than a
+/// re-implementation contract.
 pub fn gather_weighted_scans<'a, I>(scans: I, k: usize) -> Vec<(u32, f64)>
 where
     I: IntoIterator<Item = (f64, &'a [(u32, f64)])>,
 {
-    let mut acc: HashMap<u32, f64> = HashMap::new();
-    for (weight, hits) in scans {
-        for &(owner, score) in hits {
-            *acc.entry(owner).or_insert(0.0) += weight * score;
-        }
-    }
-    let mut out: Vec<(u32, f64)> = acc.into_iter().collect();
-    out.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("scores are finite")
-            .then(a.0.cmp(&b.0))
-    });
-    out.truncate(k);
-    out
+    fold_weighted(&mut HashMap::new(), scans, k)
 }
 
 /// A parallel, allocation-lean evaluator of Algorithm 2 queries over a
@@ -137,134 +120,43 @@ impl<'a> QueryEngine<'a> {
     /// Panics if a scan worker panics; serving loops should prefer
     /// [`Self::try_top_k`].
     pub fn top_k(&self, q: usize, k: usize) -> Vec<(u32, f64)> {
-        self.try_top_k(q, k).unwrap_or_else(|e| panic!("{e}"))
+        self.try_top_k(q, k, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Self::top_k`], returning a worker panic as an error instead of
     /// aborting the serving process: one poisoned query fails *that* query
     /// and the server keeps answering the rest.
-    pub fn try_top_k(&self, q: usize, k: usize) -> Result<Vec<(u32, f64)>, WorkerPanic> {
-        self.try_top_k_with_n(q, k, 2 * k)
-    }
-
-    /// Algorithm 2 for one query with an explicit per-intention list
-    /// length. Runs the per-cluster scans in parallel when the query
-    /// consults at least `intra_query_min_clusters` clusters and more than
-    /// one worker is configured.
     ///
-    /// Panics if a scan worker panics; serving loops should prefer
-    /// [`Self::try_top_k_with_n`].
-    pub fn top_k_with_n(&self, q: usize, k: usize, n: usize) -> Vec<(u32, f64)> {
-        self.try_top_k_with_n(q, k, n)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::top_k_with_n`] with worker panics propagated as `Err`.
-    pub fn try_top_k_with_n(
-        &self,
-        q: usize,
-        k: usize,
-        n: usize,
-    ) -> Result<Vec<(u32, f64)>, WorkerPanic> {
-        self.try_top_k_with_n_costed(q, k, n).map(|(out, _)| out)
-    }
-
-    /// [`Self::try_top_k_with_n`] that additionally returns the query's
-    /// per-phase cost counters (clusters routed, postings scanned,
-    /// candidates pruned, heap displacements) for request tracing. Counting
-    /// is out-of-band — results are bit-identical to the uncosted call.
-    pub fn try_top_k_with_n_costed(
-        &self,
-        q: usize,
-        k: usize,
-        n: usize,
-    ) -> Result<(Vec<(u32, f64)>, TraceCosts), WorkerPanic> {
-        let groups = query_cluster_groups(&self.pipeline.doc_segments, q);
-        let clusters_routed = groups.len() as u64;
-        let workers = self.workers_for(groups.len());
-        if workers <= 1 || groups.len() < self.intra_query_min_clusters {
-            let mut scratch = QueryScratch::new();
-            let out = mr_top_k_scratch(
-                self.collection,
-                &self.pipeline.doc_segments,
-                &self.pipeline.clusters,
-                q,
-                k,
-                n,
-                self.pipeline.weighted_combination,
-                self.pipeline.weighting,
-                &mut scratch,
-            );
-            return Ok((
-                out,
-                scan_to_trace_costs(scratch.take_costs(), clusters_routed),
-            ));
-        }
-
-        // Parallel per-cluster scans. Mirrors `mr_top_k_scratch` exactly:
-        // the scans are independent, and the fold below consumes their
-        // results in cluster-consultation order, so accumulation order —
-        // hence every floating-point sum and tie-break — matches the
-        // sequential path bit for bit.
-        let obs = Registry::global();
-        let timer = obs.is_enabled().then(Instant::now);
-        let weighted = self.pipeline.weighted_combination;
-        let scheme = self.pipeline.weighting;
-        type ClusterScan = (f64, Vec<(u32, f64)>, forum_index::ScanCosts);
-        let scans: Vec<ClusterScan> = try_parallel_map_init_with(
-            &groups,
-            workers,
-            forum_index::ScoreScratch::new,
-            |scratch, group| {
-                let weight = if weighted {
-                    let terms = ranges_terms(self.collection, q, &group.ranges);
-                    cluster_weight_for_terms(&self.pipeline.clusters[group.cluster].index, &terms)
-                } else {
-                    1.0
-                };
-                if weight <= 0.0 {
-                    return (weight, Vec::new(), scratch.costs.take());
-                }
-                let hits = single_intention_scan(
-                    self.collection,
-                    &self.pipeline.clusters,
-                    q,
-                    group.cluster,
-                    &group.ranges,
-                    n,
-                    scheme,
-                    scratch,
-                );
-                (weight, hits, scratch.costs.take())
-            },
-            |r| {
-                obs.record("online/worker_busy_ns", r.busy.as_nanos() as u64);
-            },
-        )?;
-
-        let mut scan_costs = forum_index::ScanCosts::default();
-        for (_, _, costs) in &scans {
-            scan_costs.merge(costs);
-        }
-        let out = gather_weighted_scans(scans.iter().map(|(w, hits, _)| (*w, hits.as_slice())), k);
-        if let Some(t) = timer {
-            obs.incr("online/queries", 1);
-            obs.record_duration("online/algo2_ns", t.elapsed());
-        }
-        Ok((out, scan_to_trace_costs(scan_costs, clusters_routed)))
-    }
-
-    /// [`Self::try_top_k`] recording an `engine/algo2` span (wall time +
-    /// cost counters) into `trace` when one is supplied.
-    pub fn try_top_k_traced(
+    /// The per-cluster scans run on workers when the query consults at
+    /// least `intra_query_min_clusters` clusters and more than one worker
+    /// is configured. With `trace`, records an `engine/algo2` span: wall
+    /// time plus the query's cost counters (clusters routed, postings
+    /// scanned, candidates pruned, heap displacements). Counting is
+    /// out-of-band — results are bit-identical with or without a trace.
+    pub fn try_top_k(
         &self,
         q: usize,
         k: usize,
         trace: Option<&mut Trace>,
     ) -> Result<Vec<(u32, f64)>, WorkerPanic> {
         let start = Instant::now();
-        let (out, costs) = self.try_top_k_with_n_costed(q, k, 2 * k)?;
+        let groups = query_cluster_groups(&self.pipeline.doc_segments, q);
+        let workers = if groups.len() < self.intra_query_min_clusters {
+            1
+        } else {
+            self.workers_for(groups.len())
+        };
+        let mut scratch = QueryScratch::new();
+        let out = HeapMr::of(self.collection, self.pipeline).run(
+            q,
+            &groups,
+            k,
+            None,
+            workers,
+            &mut scratch,
+        )?;
         if let Some(t) = trace {
+            let costs = scan_to_trace_costs(scratch.take_costs(), groups.len() as u64);
             t.push_span("engine/algo2", start, costs);
         }
         Ok(out)
@@ -274,71 +166,26 @@ impl<'a> QueryEngine<'a> {
     /// query in input order — each bit-identical to
     /// [`IntentPipeline::top_k`] on the same query.
     ///
-    /// Panics if a batch worker panics; serving loops should prefer
-    /// [`Self::try_top_k_batch`].
-    pub fn top_k_batch(&self, queries: &[usize], k: usize) -> Vec<Vec<(u32, f64)>> {
-        self.top_k_batch_with_n(queries, k, 2 * k)
-    }
-
-    /// [`Self::top_k_batch`] with worker panics propagated as `Err`: the
-    /// failed batch is lost, the serving process is not.
-    pub fn try_top_k_batch(
-        &self,
-        queries: &[usize],
-        k: usize,
-    ) -> Result<Vec<Vec<(u32, f64)>>, WorkerPanic> {
-        self.try_top_k_batch_with_n(queries, k, 2 * k)
-    }
-
-    /// [`Self::top_k_batch`] with an explicit per-intention list length.
-    ///
     /// Queries are partitioned into contiguous chunks, one per worker;
     /// each worker reuses a single [`QueryScratch`] across its chunk.
     ///
-    /// Panics if a batch worker panics; serving loops should prefer
-    /// [`Self::try_top_k_batch_with_n`].
-    pub fn top_k_batch_with_n(
-        &self,
-        queries: &[usize],
-        k: usize,
-        n: usize,
-    ) -> Vec<Vec<(u32, f64)>> {
-        self.try_top_k_batch_with_n(queries, k, n)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::top_k_batch_with_n`] with worker panics propagated as `Err`.
-    pub fn try_top_k_batch_with_n(
-        &self,
-        queries: &[usize],
-        k: usize,
-        n: usize,
-    ) -> Result<Vec<Vec<(u32, f64)>>, WorkerPanic> {
+    /// Panics if a batch worker panics.
+    pub fn top_k_batch(&self, queries: &[usize], k: usize) -> Vec<Vec<(u32, f64)>> {
         let obs = Registry::global();
         let timer = obs.is_enabled().then(Instant::now);
         let workers = self.workers_for(queries.len());
+        let heap = HeapMr::of(self.collection, self.pipeline);
         let results = try_parallel_map_init_with(
             queries,
             workers,
             QueryScratch::new,
-            |scratch, &q| {
-                mr_top_k_scratch(
-                    self.collection,
-                    &self.pipeline.doc_segments,
-                    &self.pipeline.clusters,
-                    q,
-                    k,
-                    n,
-                    self.pipeline.weighted_combination,
-                    self.pipeline.weighting,
-                    scratch,
-                )
-            },
+            |scratch, &q| heap.top_k(q, k, None, scratch),
             |r| {
                 obs.record("online/worker_busy_ns", r.busy.as_nanos() as u64);
                 obs.incr("online/batch_workers", 1);
             },
-        )?;
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         if let Some(t) = timer {
             let elapsed = t.elapsed();
             obs.incr("online/batch_queries", queries.len() as u64);
@@ -349,7 +196,7 @@ impl<'a> QueryEngine<'a> {
                     .set((queries.len() as f64 / secs) as i64);
             }
         }
-        Ok(results)
+        results
     }
 }
 

@@ -1,24 +1,28 @@
 //! Per-query EXPLAIN: a faithful trace of Algorithms 1 & 2.
 //!
 //! [`explain_top_k`] runs the exact same code path as
-//! [`IntentPipeline::top_k`] — same cluster weights, same per-cluster
-//! Algorithm 1 scans, same combination and tie-breaking — while recording
-//! *why* each result ranked where: which intention clusters were consulted,
-//! each cluster's query terms and combination weight, the per-cluster top-n
-//! candidate lists, and the per-cluster contribution to every final score.
-//! The [`QueryExplain::results`] it returns are asserted (by construction
-//! and by test) to equal the production ranking.
+//! [`IntentPipeline::top_k`] — the heap backend's step
+//! ([`crate::pipeline::scan_cluster`]) and the one fold
+//! ([`crate::pipeline::fold_weighted`]) under the one runner
+//! ([`crate::pipeline::run_algo2`]) — while recording *why* each result
+//! ranked where: which intention clusters were consulted, each cluster's
+//! query terms and combination weight, the per-cluster top-n candidate
+//! lists, and the per-cluster contribution to every final score. The step
+//! records each cluster's trace itself, and the ranking is the runner's,
+//! so [`QueryExplain::results`] equal the production ranking by
+//! construction (and by test).
 
 use crate::collection::PostCollection;
+use crate::par::WorkerPanic;
 use crate::pipeline::{
-    cluster_weight_for_terms, query_cluster_groups, ranges_terms, single_intention_top_n_with,
-    IntentPipeline,
+    default_list_len, query_cluster_groups, run_algo2, HeapMr, IntentPipeline, QueryScratch,
 };
 use forum_obs::json::Json;
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// The trace of one intention cluster's part in a query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterTrace {
     /// The intention cluster id.
     pub cluster: usize,
@@ -38,6 +42,22 @@ pub struct ClusterTrace {
     /// Algorithm 1's top-n candidates for this cluster, `(doc, raw score)`
     /// in descending score order.
     pub candidates: Vec<(u32, f64)>,
+}
+
+impl ClusterTrace {
+    /// Records what Algorithm 2's step saw and did in this cluster: the
+    /// query terms, the combination weight, and the scan's candidates
+    /// (empty when the step skipped the cluster).
+    pub(crate) fn record_step(&mut self, terms: &[String], weight: f64, candidates: &[(u32, f64)]) {
+        let mut distinct: Vec<&str> = terms.iter().map(String::as_str).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        self.num_terms = terms.len();
+        self.num_distinct_terms = distinct.len();
+        self.weight = weight;
+        self.skipped = weight <= 0.0;
+        self.candidates = candidates.to_vec();
+    }
 }
 
 /// One cluster's contribution to a final result's score.
@@ -87,13 +107,13 @@ pub struct QueryExplain {
     /// see [`query_cluster_groups`]).
     pub clusters: Vec<ClusterTrace>,
     /// The final ranking with provenance; identical (doc, score) pairs to
-    /// [`IntentPipeline::top_k_with_n`].
+    /// [`IntentPipeline::top_k`].
     pub results: Vec<ResultTrace>,
 }
 
 impl QueryExplain {
     /// The final ranking as plain `(doc, score)` pairs — bit-identical to
-    /// what [`IntentPipeline::top_k_with_n`] returns for the same inputs.
+    /// what [`IntentPipeline::top_k`] returns for the same inputs.
     pub fn ranking(&self) -> Vec<(u32, f64)> {
         self.results.iter().map(|r| (r.doc, r.score)).collect()
     }
@@ -235,86 +255,62 @@ impl QueryExplain {
     }
 }
 
-/// EXPLAIN for [`IntentPipeline::top_k`] (which uses `n = 2k`).
+/// EXPLAIN for [`IntentPipeline::top_k`] (which uses `n = 2k`): runs the
+/// same steps and fold and returns the trace.
+///
+/// With `trace`, records an `explain/build` span: EXPLAIN re-runs the
+/// query's scans, and on the slow-query path that rebuild cost should be
+/// attributed, not hidden. The span counts consulted clusters as routed
+/// and weight-skipped clusters as pruned candidates.
 pub fn explain_top_k(
     pipeline: &IntentPipeline,
     collection: &PostCollection,
     q: usize,
     k: usize,
+    trace: Option<&mut forum_obs::Trace>,
 ) -> QueryExplain {
-    explain_top_k_with_n(pipeline, collection, q, k, 2 * k)
-}
-
-/// EXPLAIN for [`IntentPipeline::top_k_with_n`]: runs the same scans and
-/// combination and returns the trace. The accumulation, sorting, and
-/// truncation below mirror `mr_top_k_with` exactly, so
-/// [`QueryExplain::ranking`] reproduces the production output.
-pub fn explain_top_k_with_n(
-    pipeline: &IntentPipeline,
-    collection: &PostCollection,
-    q: usize,
-    k: usize,
-    n: usize,
-) -> QueryExplain {
-    let doc_segments = &pipeline.doc_segments;
-    let clusters = &pipeline.clusters;
-    let weighted = pipeline.weighted_combination;
-
-    let mut traces: Vec<ClusterTrace> = Vec::new();
-    let mut acc: HashMap<u32, f64> = HashMap::new();
-    let mut provenance: HashMap<u32, Vec<Contribution>> = HashMap::new();
-    for group in query_cluster_groups(doc_segments, q) {
-        let terms = ranges_terms(collection, q, &group.ranges);
-        let mut distinct: Vec<&str> = terms.iter().map(String::as_str).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let weight = if weighted {
-            cluster_weight_for_terms(&clusters[group.cluster].index, &terms)
-        } else {
-            1.0
-        };
-        let skipped = weight <= 0.0;
-        let candidates = if skipped {
-            Vec::new()
-        } else {
-            single_intention_top_n_with(
-                collection,
-                doc_segments,
-                clusters,
-                q,
-                group.cluster,
-                n,
-                pipeline.weighting,
-            )
-        };
-        for &(owner, score) in &candidates {
-            *acc.entry(owner).or_insert(0.0) += weight * score;
-            provenance.entry(owner).or_default().push(Contribution {
+    let start = std::time::Instant::now();
+    let heap = HeapMr::of(collection, pipeline);
+    let groups = query_cluster_groups(&pipeline.doc_segments, q);
+    // The runner's step is `Fn + Sync` (it may run on workers); EXPLAIN
+    // runs it inline, so this lock is never contended.
+    let traces: Mutex<Vec<ClusterTrace>> = Mutex::new(Vec::with_capacity(groups.len()));
+    let ranking = run_algo2(
+        &groups,
+        k,
+        None,
+        1,
+        &mut QueryScratch::new(),
+        |group, n, s| {
+            let mut cluster = ClusterTrace {
                 cluster: group.cluster,
+                ranges: group.ranges.clone(),
+                ..ClusterTrace::default()
+            };
+            let scan = heap.step(q, group, n, s, Some(&mut cluster));
+            traces
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(cluster);
+            Ok(scan)
+        },
+    )
+    .unwrap_or_else(|e: WorkerPanic| panic!("{e}"));
+    let clusters = traces.into_inner().unwrap_or_else(PoisonError::into_inner);
+
+    // Provenance: each ranked document's weighted contributions, in
+    // consultation order.
+    let mut provenance: HashMap<u32, Vec<Contribution>> = HashMap::new();
+    for c in &clusters {
+        for &(owner, score) in &c.candidates {
+            provenance.entry(owner).or_default().push(Contribution {
+                cluster: c.cluster,
                 score,
-                weight,
+                weight: c.weight,
             });
         }
-        traces.push(ClusterTrace {
-            cluster: group.cluster,
-            ranges: group.ranges,
-            num_terms: terms.len(),
-            num_distinct_terms: distinct.len(),
-            weight,
-            skipped,
-            candidates,
-        });
     }
-
-    let mut out: Vec<(u32, f64)> = acc.into_iter().collect();
-    out.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("scores are finite")
-            .then(a.0.cmp(&b.0))
-    });
-    out.truncate(k);
-
-    let results = out
+    let results = ranking
         .into_iter()
         .enumerate()
         .map(|(i, (doc, score))| ResultTrace {
@@ -325,43 +321,25 @@ pub fn explain_top_k_with_n(
         })
         .collect();
 
-    QueryExplain {
-        query: q,
-        k,
-        n,
-        weighted,
-        clusters: traces,
-        results,
-    }
-}
-
-/// [`explain_top_k_with_n`] recording an `explain/build` span into `trace`
-/// when one is supplied: EXPLAIN re-runs the query's scans, and on the
-/// slow-query path that rebuild cost should be attributed, not hidden. The
-/// span counts consulted clusters as routed and weight-skipped clusters as
-/// pruned candidates.
-pub fn explain_top_k_with_n_traced(
-    pipeline: &IntentPipeline,
-    collection: &PostCollection,
-    q: usize,
-    k: usize,
-    n: usize,
-    trace: Option<&mut forum_obs::Trace>,
-) -> QueryExplain {
-    let start = std::time::Instant::now();
-    let explain = explain_top_k_with_n(pipeline, collection, q, k, n);
     if let Some(t) = trace {
         t.push_span(
             "explain/build",
             start,
             forum_obs::TraceCosts {
-                clusters_routed: explain.clusters.len() as u64,
-                candidates_pruned: explain.clusters.iter().filter(|c| c.skipped).count() as u64,
+                clusters_routed: clusters.len() as u64,
+                candidates_pruned: clusters.iter().filter(|c| c.skipped).count() as u64,
                 ..forum_obs::TraceCosts::default()
             },
         );
     }
-    explain
+    QueryExplain {
+        query: q,
+        k,
+        n: default_list_len(k),
+        weighted: pipeline.weighted_combination,
+        clusters,
+        results,
+    }
 }
 
 #[cfg(test)]
@@ -391,7 +369,7 @@ mod tests {
     fn explain_ranking_matches_production_top_k() {
         let (coll, pipe) = setup(1);
         for q in [0usize, 9, 42, 120, 249] {
-            let explain = explain_top_k(&pipe, &coll, q, 5);
+            let explain = explain_top_k(&pipe, &coll, q, 5, None);
             assert_eq!(
                 explain.ranking(),
                 pipe.top_k(&coll, q, 5),
@@ -403,7 +381,7 @@ mod tests {
     #[test]
     fn contributions_sum_to_final_scores() {
         let (coll, pipe) = setup(1);
-        let explain = explain_top_k(&pipe, &coll, 3, 5);
+        let explain = explain_top_k(&pipe, &coll, 3, 5, None);
         for r in &explain.results {
             let sum: f64 = r.contributions.iter().map(Contribution::weighted).sum();
             assert!(
@@ -420,7 +398,7 @@ mod tests {
     fn cluster_traces_cover_query_segments() {
         let (coll, pipe) = setup(1);
         let q = 7;
-        let explain = explain_top_k(&pipe, &coll, q, 5);
+        let explain = explain_top_k(&pipe, &coll, q, 5, None);
         let groups = query_cluster_groups(&pipe.doc_segments, q);
         assert_eq!(explain.clusters.len(), groups.len());
         for (trace, group) in explain.clusters.iter().zip(&groups) {
@@ -442,8 +420,8 @@ mod tests {
         let (coll_seq, pipe_seq) = setup(1);
         let (coll_par, pipe_par) = setup(0);
         for q in [0usize, 11, 100] {
-            let a = explain_top_k(&pipe_seq, &coll_seq, q, 5);
-            let b = explain_top_k(&pipe_par, &coll_par, q, 5);
+            let a = explain_top_k(&pipe_seq, &coll_seq, q, 5, None);
+            let b = explain_top_k(&pipe_par, &coll_par, q, 5, None);
             assert_eq!(
                 a.to_json().to_string(),
                 b.to_json().to_string(),
@@ -456,7 +434,7 @@ mod tests {
     #[test]
     fn json_trace_is_valid_and_complete() {
         let (coll, pipe) = setup(1);
-        let explain = explain_top_k(&pipe, &coll, 0, 5);
+        let explain = explain_top_k(&pipe, &coll, 0, 5, None);
         let text = explain.to_json().to_string();
         let parsed = forum_obs::json::Json::parse(&text).expect("EXPLAIN JSON must parse");
         assert_eq!(parsed.get("query").unwrap().as_u64(), Some(0));
@@ -473,7 +451,7 @@ mod tests {
     #[test]
     fn render_mentions_every_result() {
         let (coll, pipe) = setup(1);
-        let explain = explain_top_k(&pipe, &coll, 0, 5);
+        let explain = explain_top_k(&pipe, &coll, 0, 5, None);
         let text = explain.render();
         assert!(text.contains("EXPLAIN query doc #0"));
         for r in &explain.results {

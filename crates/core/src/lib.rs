@@ -37,7 +37,10 @@
 //! Modules:
 //! * [`collection`] — a parsed, CM-annotated post collection.
 //! * [`pipeline`] — the offline build (steps 1–3) and online matching
-//!   (step 4), with per-phase timings.
+//!   (step 4), with per-phase timings. Algorithm 2 lives here once — a
+//!   per-cluster step ([`pipeline::scan_cluster`]), a fold
+//!   ([`pipeline::fold_weighted`]) and a runner ([`pipeline::run_algo2`])
+//!   — and every query backend calls it.
 //! * [`methods`] — the five methods of the paper's evaluation behind one
 //!   [`methods::Matcher`] trait: `FullText`, `LDA`, `Content-MR`,
 //!   `SentIntent-MR` and `IntentIntent-MR`.
@@ -83,7 +86,7 @@ pub use forum_par as par;
 pub use collection::PostCollection;
 pub use engine::QueryEngine;
 pub use eval::{evaluate_method, EvalConfig, MethodEval};
-pub use explain::{explain_top_k, explain_top_k_with_n, explain_top_k_with_n_traced, QueryExplain};
+pub use explain::{explain_top_k, QueryExplain};
 pub use fagin::{exact_top_k, exact_top_k_traced};
 pub use methods::{ContentMrMatcher, FullTextMatcher, LdaMatcher, Matcher, MethodKind, MrMatcher};
 pub use pipeline::{BuildTimings, IntentPipeline, PipelineConfig};

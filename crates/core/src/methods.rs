@@ -11,7 +11,8 @@
 
 use crate::collection::PostCollection;
 use crate::pipeline::{
-    assemble_clusters, mr_top_k, ClusterIndex, IntentPipeline, PipelineConfig, RefinedSegment,
+    assemble_clusters, ClusterIndex, HeapMr, IntentPipeline, PipelineConfig, QueryScratch,
+    RefinedSegment,
 };
 use forum_cluster::kmeans::{kmeans, KMeansConfig};
 use forum_index::{IndexBuilder, SegmentIndex};
@@ -314,15 +315,14 @@ impl Matcher for ContentMrMatcher<'_> {
     }
 
     fn top_k(&self, q: usize, k: usize) -> Vec<(u32, f64)> {
-        mr_top_k(
-            self.collection,
-            &self.doc_segments,
-            &self.clusters,
-            q,
-            k,
-            2 * k,
-            true,
-        )
+        HeapMr {
+            collection: self.collection,
+            doc_segments: &self.doc_segments,
+            clusters: &self.clusters,
+            weighted: true,
+            scheme: forum_index::WeightingScheme::PaperTfIdf,
+        }
+        .top_k(q, k, None, &mut QueryScratch::new())
     }
 }
 

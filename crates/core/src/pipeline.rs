@@ -6,6 +6,8 @@
 //! Algorithm 1 per intention cluster, combined by Algorithm 2.
 
 use crate::collection::PostCollection;
+use crate::explain::ClusterTrace;
+use crate::par::WorkerPanic;
 use forum_cluster::{dbscan_sampled_matrix, segment_features, DbscanConfig, PointMatrix};
 use forum_index::{IndexBuilder, SegmentIndex};
 use forum_obs::Registry;
@@ -13,7 +15,7 @@ use forum_segment::strategies::Strategy;
 use forum_text::Segmentation;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 /// Pipeline configuration.
@@ -300,7 +302,8 @@ impl IntentPipeline {
     }
 
     /// Algorithm 1: the top-n documents related to query document `q` with
-    /// respect to a single intention cluster, as `(doc, score)`.
+    /// respect to a single intention cluster, as `(doc, score)` — the heap
+    /// step, unweighted, under the paper's Eq. 8 weighting.
     pub fn single_intention_top_n(
         &self,
         collection: &PostCollection,
@@ -308,21 +311,23 @@ impl IntentPipeline {
         cluster: usize,
         n: usize,
     ) -> Vec<(u32, f64)> {
-        single_intention_top_n(
-            collection,
-            &self.doc_segments,
-            &self.clusters,
-            q,
-            cluster,
-            n,
-        )
+        let heap = HeapMr {
+            weighted: false,
+            scheme: forum_index::WeightingScheme::PaperTfIdf,
+            ..HeapMr::of(collection, self)
+        };
+        query_cluster_groups(&self.doc_segments, q)
+            .iter()
+            .find(|g| g.cluster == cluster)
+            .and_then(|g| heap.step(q, g, n, &mut forum_index::ScoreScratch::new(), None))
+            .map_or_else(Vec::new, |scan| scan.hits)
     }
 
     /// Algorithm 2: the top-k documents related to `q` across all
     /// intentions, combining per-cluster top-n lists with `n = 2k` (the
     /// paper's empirically good choice).
     pub fn top_k(&self, collection: &PostCollection, q: usize, k: usize) -> Vec<(u32, f64)> {
-        self.top_k_with_n(collection, q, k, 2 * k)
+        HeapMr::of(collection, self).top_k(q, k, None, &mut QueryScratch::new())
     }
 
     /// Algorithm 2 with an explicit per-intention list length `n` (exposed
@@ -334,16 +339,7 @@ impl IntentPipeline {
         k: usize,
         n: usize,
     ) -> Vec<(u32, f64)> {
-        mr_top_k_with(
-            collection,
-            &self.doc_segments,
-            &self.clusters,
-            q,
-            k,
-            n,
-            self.weighted_combination,
-            self.weighting,
-        )
+        HeapMr::of(collection, self).top_k(q, k, Some(n), &mut QueryScratch::new())
     }
 
     /// Matches a post that is *not* part of the collection: segments it,
@@ -381,35 +377,26 @@ impl IntentPipeline {
             (nearest_centroid(&f, &self.centroids), (s.first, s.end))
         }));
 
-        let n = 2 * k;
-        let mut acc: HashMap<u32, f64> = HashMap::new();
-        for seg in &refined {
-            let terms = doc_ranges_terms(&cmdoc, &seg.ranges);
-            if terms.is_empty() {
-                continue;
-            }
-            let index = &self.clusters[seg.cluster].index;
-            let weight = if self.weighted_combination {
-                cluster_weight_for_terms(index, &terms)
-            } else {
-                1.0
-            };
-            if weight <= 0.0 {
-                continue;
-            }
-            let query = SegmentIndex::query_from_terms(&terms);
-            for (owner, score) in index.top_owners_with(&query, n, self.weighting, None) {
-                *acc.entry(owner).or_insert(0.0) += weight * score;
-            }
-        }
-        let mut out: Vec<(u32, f64)> = acc.into_iter().collect();
-        out.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        out.truncate(k);
-        out
+        // A new post is in no index, so its scans exclude nobody.
+        run_algo2(
+            &refined,
+            k,
+            None,
+            1,
+            &mut QueryScratch::new(),
+            |seg, n, scratch| {
+                let terms = doc_ranges_terms(&cmdoc, &seg.ranges);
+                let spec = ScanSpec::new(n, self.weighted_combination, self.weighting);
+                Ok(scan_cluster(
+                    &self.clusters[seg.cluster].index,
+                    &terms,
+                    &spec,
+                    scratch,
+                    None,
+                ))
+            },
+        )
+        .unwrap_or_else(|e: WorkerPanic| panic!("{e}"))
     }
 
     /// Incrementally adds a new post to the collection and the built
@@ -496,11 +483,9 @@ impl IntentPipeline {
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// Dense unit-score accumulators + owner aggregation (see
-    /// [`forum_index::ScoreScratch`]).
+    /// [`forum_index::ScoreScratch`]); [`run_algo2`] scans with it inline.
     pub(crate) index: forum_index::ScoreScratch,
-    /// Algorithm 2's per-document combined scores (crate-visible so the
-    /// mapped [`crate::view::StoreView`] query path reuses the same
-    /// accumulator).
+    /// Algorithm 2's per-document combined scores ([`fold_weighted`]).
     pub(crate) acc: HashMap<u32, f64>,
 }
 
@@ -564,233 +549,133 @@ pub fn query_cluster_groups_of(segs: &[RefinedSegment]) -> Vec<QueryClusterGroup
     groups
 }
 
-/// The query document's sentence ranges falling in `cluster` (the ranges of
-/// the matching [`QueryClusterGroup`], or empty if the query has no segment
-/// there).
-fn query_cluster_ranges(
-    doc_segments: &[Vec<RefinedSegment>],
-    q: usize,
-    cluster: usize,
-) -> Vec<(usize, usize)> {
-    doc_segments[q]
-        .iter()
-        .filter(|s| s.cluster == cluster)
-        .flat_map(|s| s.ranges.iter().copied())
-        .collect()
+/// How Algorithm 1 scans one cluster for a query: everything a backend
+/// supplies to [`scan_cluster`] besides the cluster's index and the
+/// query's terms.
+#[derive(Clone, Copy)]
+pub struct ScanSpec<'a> {
+    /// Per-intention list length: the scan returns at most `n` owners.
+    pub n: usize,
+    /// Weight the cluster by Eq. 6 ([`cluster_weight_for_terms`]); `false`
+    /// weighs every cluster 1.0 (Algorithm 2's plain sum).
+    pub weighted: bool,
+    /// Term weighting inside the cluster index.
+    pub scheme: forum_index::WeightingScheme,
+    /// The owner never returned — the query document itself.
+    pub exclude: Option<u32>,
+    /// Further owners never returned (a live store's deleted and
+    /// superseded base documents).
+    pub tombstones: Option<&'a HashSet<u32>>,
+    /// Per-document visibility, applied inside the postings scan.
+    pub filter: Option<forum_index::DocFilter<'a>>,
 }
 
-/// Algorithm 1 as a free function over assembled MR structures.
-pub fn single_intention_top_n(
-    collection: &PostCollection,
-    doc_segments: &[Vec<RefinedSegment>],
-    clusters: &[ClusterIndex],
-    q: usize,
-    cluster: usize,
-    n: usize,
-) -> Vec<(u32, f64)> {
-    single_intention_top_n_with(
-        collection,
-        doc_segments,
-        clusters,
-        q,
-        cluster,
-        n,
-        forum_index::WeightingScheme::PaperTfIdf,
-    )
+impl ScanSpec<'_> {
+    /// A scan of depth `n` that excludes no owner.
+    pub fn new(n: usize, weighted: bool, scheme: forum_index::WeightingScheme) -> Self {
+        ScanSpec {
+            n,
+            weighted,
+            scheme,
+            exclude: None,
+            tombstones: None,
+            filter: None,
+        }
+    }
 }
 
-/// [`single_intention_top_n`] with an explicit weighting scheme.
+/// One consulted cluster's part in Algorithm 2: its combination weight and
+/// its Algorithm 1 top-n.
+#[derive(Debug, Clone)]
+pub struct WeightedHits {
+    /// The cluster's combination weight (Eq. 6, or 1.0 unweighted).
+    pub weight: f64,
+    /// The `(term, frequency)` query the scan ran — a backend with pending
+    /// units scans them with the same query.
+    pub query: Vec<(String, u32)>,
+    /// The top-n `(owner, score)` hits, score descending, owner ascending.
+    pub hits: Vec<(u32, f64)>,
+}
+
+/// Algorithm 2's per-cluster step: `terms` (the query's terms in this
+/// cluster) → the Eq. 6 cluster weight → `None` when the terms are empty
+/// or the weight is ≤ 0 → otherwise one Algorithm 1 owner scan of `index`
+/// under `spec`.
 ///
-/// Each call counts as one Algorithm 1 scan in the process-wide metrics
-/// registry (`online/algo1_scans`, latency in `online/algo1_ns`).
-#[allow(clippy::too_many_arguments)]
-pub fn single_intention_top_n_with(
-    collection: &PostCollection,
-    doc_segments: &[Vec<RefinedSegment>],
-    clusters: &[ClusterIndex],
-    q: usize,
-    cluster: usize,
-    n: usize,
-    scheme: forum_index::WeightingScheme,
-) -> Vec<(u32, f64)> {
-    let ranges = query_cluster_ranges(doc_segments, q, cluster);
-    single_intention_scan(
-        collection,
-        clusters,
-        q,
-        cluster,
-        &ranges,
-        n,
-        scheme,
-        &mut forum_index::ScoreScratch::new(),
-    )
-}
-
-/// Algorithm 1's scan of one cluster: queries the cluster index with the
-/// terms of the query document's `ranges` and returns the top `n` *distinct
-/// non-query documents*, each scored by its best-matching unit.
-#[allow(clippy::too_many_arguments)]
-pub fn single_intention_scan(
-    collection: &PostCollection,
-    clusters: &[ClusterIndex],
-    q: usize,
-    cluster: usize,
-    ranges: &[(usize, usize)],
-    n: usize,
-    scheme: forum_index::WeightingScheme,
+/// Every backend's step runs through here, so this is the one place a
+/// cluster weight is computed and the one place a scan counts as
+/// `online/algo1_scans` (latency in `online/algo1_ns`). When `explain` is
+/// given, the step fills in that cluster's EXPLAIN trace.
+pub fn scan_cluster(
+    index: &SegmentIndex,
+    terms: &[String],
+    spec: &ScanSpec<'_>,
     scratch: &mut forum_index::ScoreScratch,
-) -> Vec<(u32, f64)> {
-    single_intention_scan_filtered(
-        collection, clusters, q, cluster, ranges, n, scheme, None, scratch,
-    )
-}
-
-/// [`single_intention_scan`] with a per-document visibility
-/// [`forum_index::DocFilter`] threaded into the postings scan: hidden
-/// owners never consume a top-n slot (per-tenant board/category
-/// filtering for the serving tier).
-#[allow(clippy::too_many_arguments)]
-pub fn single_intention_scan_filtered(
-    collection: &PostCollection,
-    clusters: &[ClusterIndex],
-    q: usize,
-    cluster: usize,
-    ranges: &[(usize, usize)],
-    n: usize,
-    scheme: forum_index::WeightingScheme,
-    filter: Option<forum_index::DocFilter>,
-    scratch: &mut forum_index::ScoreScratch,
-) -> Vec<(u32, f64)> {
-    let terms = ranges_terms(collection, q, ranges);
-    if terms.is_empty() {
-        return Vec::new();
+    explain: Option<&mut ClusterTrace>,
+) -> Option<WeightedHits> {
+    let weight = if spec.weighted {
+        cluster_weight_for_terms(index, terms)
+    } else {
+        1.0
+    };
+    if terms.is_empty() || weight <= 0.0 {
+        if let Some(trace) = explain {
+            trace.record_step(terms, weight, &[]);
+        }
+        return None;
     }
     let obs = Registry::global();
     let timer = obs.is_enabled().then(Instant::now);
-    let query = SegmentIndex::query_from_terms(&terms);
-    let hits = clusters[cluster].index.top_owners_filtered(
-        &query,
-        n,
-        scheme,
-        Some(q as u32),
-        filter,
-        scratch,
-    );
+    let query = SegmentIndex::query_from_terms(terms);
+    let hits = match spec.tombstones {
+        Some(tombstones) => index.top_owners_excluding_filtered(
+            &query,
+            spec.n,
+            spec.scheme,
+            spec.exclude,
+            tombstones,
+            spec.filter,
+            scratch,
+        ),
+        None => index.top_owners_filtered(
+            &query,
+            spec.n,
+            spec.scheme,
+            spec.exclude,
+            spec.filter,
+            scratch,
+        ),
+    };
     if let Some(t) = timer {
         obs.incr("online/algo1_scans", 1);
         obs.record_duration("online/algo1_ns", t.elapsed());
     }
-    hits
+    if let Some(trace) = explain {
+        trace.record_step(terms, weight, &hits);
+    }
+    Some(WeightedHits {
+        weight,
+        query,
+        hits,
+    })
 }
 
-/// Algorithm 2 as a free function over assembled MR structures: combine
-/// per-intention top-n lists into the final top-k.
-pub fn mr_top_k(
-    collection: &PostCollection,
-    doc_segments: &[Vec<RefinedSegment>],
-    clusters: &[ClusterIndex],
-    q: usize,
+/// Algorithm 2's fold: adds `weight × score` into each owner's combined
+/// score, taking the per-cluster lists in the order supplied (callers
+/// supply them in consultation order, so every floating-point sum is the
+/// same in every backend), then ranks by score descending, owner ascending
+/// on ties, and truncates to `k`. `acc` is scratch; it is cleared first.
+pub fn fold_weighted<'a>(
+    acc: &mut HashMap<u32, f64>,
+    scans: impl IntoIterator<Item = (f64, &'a [(u32, f64)])>,
     k: usize,
-    n: usize,
-    weighted: bool,
 ) -> Vec<(u32, f64)> {
-    mr_top_k_with(
-        collection,
-        doc_segments,
-        clusters,
-        q,
-        k,
-        n,
-        weighted,
-        forum_index::WeightingScheme::PaperTfIdf,
-    )
-}
-
-/// [`mr_top_k`] with an explicit weighting scheme.
-///
-/// Each call counts one query (`online/queries`) and the full combination
-/// latency (`online/algo2_ns`) in the process-wide metrics registry.
-#[allow(clippy::too_many_arguments)]
-pub fn mr_top_k_with(
-    collection: &PostCollection,
-    doc_segments: &[Vec<RefinedSegment>],
-    clusters: &[ClusterIndex],
-    q: usize,
-    k: usize,
-    n: usize,
-    weighted: bool,
-    scheme: forum_index::WeightingScheme,
-) -> Vec<(u32, f64)> {
-    mr_top_k_scratch(
-        collection,
-        doc_segments,
-        clusters,
-        q,
-        k,
-        n,
-        weighted,
-        scheme,
-        &mut QueryScratch::new(),
-    )
-}
-
-/// The scratch-reusing core of [`mr_top_k_with`]: one Algorithm 1 scan per
-/// *distinct* consulted cluster (see [`QueryClusterGroup`]), combined into
-/// the final top-k. The batch engine (and the live-serving epoch view in
-/// `forum-ingest`) call this with a per-worker scratch.
-#[allow(clippy::too_many_arguments)]
-pub fn mr_top_k_scratch(
-    collection: &PostCollection,
-    doc_segments: &[Vec<RefinedSegment>],
-    clusters: &[ClusterIndex],
-    q: usize,
-    k: usize,
-    n: usize,
-    weighted: bool,
-    scheme: forum_index::WeightingScheme,
-    scratch: &mut QueryScratch,
-) -> Vec<(u32, f64)> {
-    let obs = Registry::global();
-    let timer = obs.is_enabled().then(Instant::now);
-    let groups = query_cluster_groups(doc_segments, q);
-    scratch.acc.clear();
-    for group in &groups {
-        let weight = if weighted {
-            let terms = ranges_terms(collection, q, &group.ranges);
-            cluster_weight_for_terms(&clusters[group.cluster].index, &terms)
-        } else {
-            1.0
-        };
-        if weight <= 0.0 {
-            continue;
-        }
-        let hits = single_intention_scan(
-            collection,
-            clusters,
-            q,
-            group.cluster,
-            &group.ranges,
-            n,
-            scheme,
-            &mut scratch.index,
-        );
-        for (owner, score) in hits {
-            *scratch.acc.entry(owner).or_insert(0.0) += weight * score;
+    acc.clear();
+    for (weight, hits) in scans {
+        for &(owner, score) in hits {
+            *acc.entry(owner).or_insert(0.0) += weight * score;
         }
     }
-    let out = rank_combined(&scratch.acc, k);
-    if let Some(t) = timer {
-        obs.incr("online/queries", 1);
-        obs.record_duration("online/algo2_ns", t.elapsed());
-    }
-    out
-}
-
-/// Algorithm 2's final ranking of the combined accumulator: score
-/// descending, document id ascending on ties, truncated to `k`. Shared by
-/// the heap path and the mapped [`crate::view::StoreView`] path so the
-/// tie-break is identical byte for byte.
-pub(crate) fn rank_combined(acc: &HashMap<u32, f64>, k: usize) -> Vec<(u32, f64)> {
     let mut out: Vec<(u32, f64)> = acc.iter().map(|(&d, &s)| (d, s)).collect();
     out.sort_unstable_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -799,6 +684,160 @@ pub(crate) fn rank_combined(acc: &HashMap<u32, f64>, k: usize) -> Vec<(u32, f64)
     });
     out.truncate(k);
     out
+}
+
+/// The per-intention list length Algorithm 2 uses by default: `n = 2k`,
+/// the paper's empirically good choice (saturating, so no `k` overflows).
+pub fn default_list_len(k: usize) -> usize {
+    k.saturating_mul(2)
+}
+
+/// Algorithm 2's runner: runs `step` over a query's cluster `groups` in
+/// consultation order and folds the results once ([`fold_weighted`]).
+///
+/// `k = 0` returns `[]` before any scan. `n` defaults to
+/// [`default_list_len`]. With `workers ≤ 1` the steps run inline on the
+/// calling thread with `scratch`; otherwise on `forum-par` workers, one
+/// [`forum_index::ScoreScratch`] each, whose scan counters are merged into
+/// `scratch` (so [`QueryScratch::take_costs`] sees the whole query either
+/// way). Workers change only where a step runs, never the fold's order,
+/// so the ranking is bit-identical for every worker count. A worker panic
+/// comes back as `E::from(WorkerPanic)`.
+///
+/// Each call counts one query (`online/queries`) and the whole Algorithm 2
+/// latency (`online/algo2_ns`).
+pub fn run_algo2<G, E, F>(
+    groups: &[G],
+    k: usize,
+    n: Option<usize>,
+    workers: usize,
+    scratch: &mut QueryScratch,
+    step: F,
+) -> Result<Vec<(u32, f64)>, E>
+where
+    G: Sync,
+    E: From<WorkerPanic> + Send,
+    F: Fn(&G, usize, &mut forum_index::ScoreScratch) -> Result<Option<WeightedHits>, E> + Sync,
+{
+    if k == 0 {
+        return Ok(Vec::new());
+    }
+    let n = n.unwrap_or_else(|| default_list_len(k));
+    let obs = Registry::global();
+    let timer = obs.is_enabled().then(Instant::now);
+    let scans: Vec<Option<WeightedHits>> = if workers <= 1 || groups.len() < 2 {
+        groups
+            .iter()
+            .map(|g| step(g, n, &mut scratch.index))
+            .collect::<Result<_, E>>()?
+    } else {
+        let per_cluster = crate::par::try_parallel_map_init_with(
+            groups,
+            workers,
+            forum_index::ScoreScratch::new,
+            |worker_scratch, g| {
+                let scan = step(g, n, worker_scratch);
+                (scan, worker_scratch.costs.take())
+            },
+            |r| obs.record("online/worker_busy_ns", r.busy.as_nanos() as u64),
+        )?;
+        let mut scans = Vec::with_capacity(per_cluster.len());
+        for (scan, costs) in per_cluster {
+            scratch.index.costs.merge(&costs);
+            scans.push(scan?);
+        }
+        scans
+    };
+    let out = fold_weighted(
+        &mut scratch.acc,
+        scans
+            .iter()
+            .flatten()
+            .map(|s| (s.weight, s.hits.as_slice())),
+        k,
+    );
+    if let Some(t) = timer {
+        obs.incr("online/queries", 1);
+        obs.record_duration("online/algo2_ns", t.elapsed());
+    }
+    Ok(out)
+}
+
+/// The heap backend of Algorithm 2: collection-resident queries over
+/// in-memory cluster indices. The intention pipeline, the Content-MR
+/// ablation, the batch engine and EXPLAIN all query through it.
+#[derive(Clone, Copy)]
+pub(crate) struct HeapMr<'a> {
+    pub(crate) collection: &'a PostCollection,
+    pub(crate) doc_segments: &'a [Vec<RefinedSegment>],
+    pub(crate) clusters: &'a [ClusterIndex],
+    pub(crate) weighted: bool,
+    pub(crate) scheme: forum_index::WeightingScheme,
+}
+
+impl<'a> HeapMr<'a> {
+    /// The heap backend over a built pipeline.
+    pub(crate) fn of(collection: &'a PostCollection, pipeline: &'a IntentPipeline) -> Self {
+        HeapMr {
+            collection,
+            doc_segments: &pipeline.doc_segments,
+            clusters: &pipeline.clusters,
+            weighted: pipeline.weighted_combination,
+            scheme: pipeline.weighting,
+        }
+    }
+
+    /// The step for query `q`'s `group`: its terms come from the
+    /// collection, its index from the cluster table, and `q` is excluded.
+    pub(crate) fn step(
+        &self,
+        q: usize,
+        group: &QueryClusterGroup,
+        n: usize,
+        scratch: &mut forum_index::ScoreScratch,
+        explain: Option<&mut ClusterTrace>,
+    ) -> Option<WeightedHits> {
+        let terms = ranges_terms(self.collection, q, &group.ranges);
+        let spec = ScanSpec {
+            exclude: Some(q as u32),
+            ..ScanSpec::new(n, self.weighted, self.scheme)
+        };
+        scan_cluster(
+            &self.clusters[group.cluster].index,
+            &terms,
+            &spec,
+            scratch,
+            explain,
+        )
+    }
+
+    /// Algorithm 2 for query `q` over its `groups`, scanned by `workers`.
+    pub(crate) fn run(
+        &self,
+        q: usize,
+        groups: &[QueryClusterGroup],
+        k: usize,
+        n: Option<usize>,
+        workers: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<Vec<(u32, f64)>, WorkerPanic> {
+        run_algo2(groups, k, n, workers, scratch, |g, n, s| {
+            Ok(self.step(q, g, n, s, None))
+        })
+    }
+
+    /// Algorithm 2 for query `q` on the calling thread.
+    pub(crate) fn top_k(
+        &self,
+        q: usize,
+        k: usize,
+        n: Option<usize>,
+        scratch: &mut QueryScratch,
+    ) -> Vec<(u32, f64)> {
+        let groups = query_cluster_groups(self.doc_segments, q);
+        self.run(q, &groups, k, n, 1, scratch)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
 }
 
 /// The unsupervised cluster weight of the weighted combination: the mean
@@ -1245,26 +1284,15 @@ mod tests {
         let clusters = vec![ClusterIndex { index: b.build() }];
 
         for weighted in [false, true] {
-            let got = mr_top_k_with(
-                &coll,
-                &unrefined,
-                &clusters,
-                0,
-                5,
-                10,
+            let backend = |doc_segments| HeapMr {
+                collection: &coll,
+                doc_segments,
+                clusters: &clusters,
                 weighted,
-                forum_index::WeightingScheme::PaperTfIdf,
-            );
-            let want = mr_top_k_with(
-                &coll,
-                &refined,
-                &clusters,
-                0,
-                5,
-                10,
-                weighted,
-                forum_index::WeightingScheme::PaperTfIdf,
-            );
+                scheme: forum_index::WeightingScheme::PaperTfIdf,
+            };
+            let got = backend(&unrefined).top_k(0, 5, Some(10), &mut QueryScratch::new());
+            let want = backend(&refined).top_k(0, 5, Some(10), &mut QueryScratch::new());
             assert!(!want.is_empty(), "weighted={weighted}: degenerate setup");
             assert_eq!(
                 got, want,
@@ -1313,10 +1341,23 @@ mod tests {
         for d in 2..coll.len() as u32 {
             b.add_unit(d, &ranges_terms(&coll, d as usize, &[(0, 1)]));
         }
-        let clusters = vec![ClusterIndex { index: b.build() }];
+        let clusters = [ClusterIndex { index: b.build() }];
 
         let scheme = forum_index::WeightingScheme::PaperTfIdf;
-        let hits = single_intention_top_n_with(&coll, &doc_segments, &clusters, 0, 0, 3, scheme);
+        let spec = ScanSpec {
+            exclude: Some(0),
+            ..ScanSpec::new(3, false, scheme)
+        };
+        let terms = ranges_terms(&coll, 0, &doc_segments[0][0].ranges);
+        let hits = scan_cluster(
+            &clusters[0].index,
+            &terms,
+            &spec,
+            &mut forum_index::ScoreScratch::new(),
+            None,
+        )
+        .expect("the query has terms")
+        .hits;
         // All three non-query documents score > 0 on "raid", so the list
         // must hold exactly the 3 distinct owners.
         assert_eq!(hits.len(), 3, "{hits:?}");

@@ -47,6 +47,13 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// A query worker panic fails the query, not the process.
+impl From<crate::par::WorkerPanic> for StoreError {
+    fn from(e: crate::par::WorkerPanic) -> Self {
+        StoreError::Format(format!("query worker panicked: {e}"))
+    }
+}
+
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)

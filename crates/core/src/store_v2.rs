@@ -45,7 +45,7 @@
 //!   intention cluster, lazily materialized on first consultation.
 //!
 //! [`save_v2`] streams sections straight to the temp file through a
-//! running checksum ([`FileEmit`]) — peak save memory no longer scales
+//! running checksum (`FileEmit`) — peak save memory no longer scales
 //! with store size — then writes the directory, patches the real header
 //! over the placeholder, fsyncs and renames (same crash-atomicity
 //! contract as v1).

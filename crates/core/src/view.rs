@@ -9,12 +9,12 @@
 //! intention clusters per epoch, so resident memory tracks the working
 //! set instead of the corpus.
 //!
-//! The query path mirrors [`crate::pipeline::mr_top_k_scratch`] using the
-//! same building blocks — [`crate::pipeline::query_cluster_groups_of`],
-//! [`crate::pipeline::cluster_weight_for_terms`],
-//! [`SegmentIndex::top_owners_filtered`], and the shared final ranking —
-//! so results are bit-identical to the heap path (asserted by unit,
-//! property, and socket tests).
+//! The query path ([`StoreView::top_k`]) is one more backend of the single
+//! Algorithm 2 ([`crate::pipeline::run_algo2`]): the same query grouping
+//! ([`crate::pipeline::query_cluster_groups_of`]), the same per-cluster
+//! step ([`crate::pipeline::scan_cluster`]) and the same fold, so results
+//! are bit-identical to the heap path (asserted by unit, property, and
+//! socket tests).
 //!
 //! Metrics (process-wide [`forum_obs::Registry`], when enabled):
 //! * `offline/store_load_ns` — time to open the view,
@@ -25,8 +25,8 @@
 
 use crate::collection::PostCollection;
 use crate::pipeline::{
-    cluster_weight_for_terms, doc_ranges_terms, query_cluster_groups_of, rank_combined,
-    BuildTimings, ClusterIndex, IntentPipeline, QueryScratch, RefinedSegment,
+    doc_ranges_terms, query_cluster_groups_of, run_algo2, scan_cluster, BuildTimings, ClusterIndex,
+    HeapMr, IntentPipeline, QueryScratch, RefinedSegment, ScanSpec,
 };
 use crate::store::StoreError;
 use crate::store_v2::{
@@ -711,81 +711,35 @@ impl StoreView {
         Ok(out)
     }
 
-    /// Top-k related posts for query document `q` with the default
-    /// candidate depth `n = 2k` — the mapped Algorithm 2, bit-identical to
-    /// [`crate::pipeline::mr_top_k_scratch`].
+    /// Top-k related posts for query document `q` (`n = 2k`) — the mapped
+    /// backend of Algorithm 2, bit-identical to
+    /// [`IntentPipeline::top_k`]. Its step resolves the consulted
+    /// cluster's lazily decoded index first, so a corrupt section fails
+    /// the query with an error.
     pub fn top_k(
         &self,
         q: usize,
         k: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<(u32, f64)>, StoreError> {
-        self.top_k_with_n(q, k, 2 * k, scratch)
-    }
-
-    /// [`Self::top_k`] with an explicit per-intention candidate depth.
-    pub fn top_k_with_n(
-        &self,
-        q: usize,
-        k: usize,
-        n: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<(u32, f64)>, StoreError> {
-        let obs = Registry::global();
-        let timer = obs.is_enabled().then(Instant::now);
         let segs = self.doc_segments(q)?;
         let groups = query_cluster_groups_of(&segs);
-        let weighted = self.weighted_combination();
-        scratch.acc.clear();
         let doc = if groups.is_empty() {
             None
         } else {
             Some(self.document(q)?)
         };
-        for group in &groups {
+        let weighted = self.weighted_combination();
+        run_algo2(&groups, k, None, 1, scratch, |group, n, s| {
             let doc = doc.as_ref().expect("document loaded for non-empty groups");
             let index = self.cluster(group.cluster)?;
-            // The heap path computes this term list twice (once for the
-            // weight, once inside the scan); computing it once is
-            // byte-identical because both uses see the same ranges.
             let terms = doc_ranges_terms(doc, &group.ranges);
-            let weight = if weighted {
-                cluster_weight_for_terms(&index, &terms)
-            } else {
-                1.0
+            let spec = ScanSpec {
+                exclude: Some(q as u32),
+                ..ScanSpec::new(n, weighted, self.weighting)
             };
-            if weight <= 0.0 {
-                continue;
-            }
-            if terms.is_empty() {
-                // Mirrors the heap path: an empty-term scan returns no
-                // hits before recording any Algorithm-1 metrics.
-                continue;
-            }
-            let scan_timer = obs.is_enabled().then(Instant::now);
-            let query = SegmentIndex::query_from_terms(&terms);
-            let hits = index.top_owners_filtered(
-                &query,
-                n,
-                self.weighting,
-                Some(q as u32),
-                None,
-                &mut scratch.index,
-            );
-            if let Some(t) = scan_timer {
-                obs.incr("online/algo1_scans", 1);
-                obs.record_duration("online/algo1_ns", t.elapsed());
-            }
-            for (owner, score) in hits {
-                *scratch.acc.entry(owner).or_insert(0.0) += weight * score;
-            }
-        }
-        let out = rank_combined(&scratch.acc, k);
-        if let Some(t) = timer {
-            obs.incr("online/queries", 1);
-            obs.record_duration("online/algo2_ns", t.elapsed());
-        }
-        Ok(out)
+            Ok(scan_cluster(&index, &terms, &spec, s, None))
+        })
     }
 }
 
@@ -899,24 +853,13 @@ pub trait QuerySource: Sync {
     /// Number of queryable documents.
     fn num_docs(&self) -> usize;
 
-    /// Top-k related posts for query `q` with candidate depth `n`.
-    fn query_top_k_with_n(
-        &self,
-        q: usize,
-        k: usize,
-        n: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<(u32, f64)>, StoreError>;
-
-    /// Top-k with the default candidate depth `n = 2k`.
+    /// Top-k related posts for query `q` (`n = 2k`).
     fn query_top_k(
         &self,
         q: usize,
         k: usize,
         scratch: &mut QueryScratch,
-    ) -> Result<Vec<(u32, f64)>, StoreError> {
-        self.query_top_k_with_n(q, k, 2 * k, scratch)
-    }
+    ) -> Result<Vec<(u32, f64)>, StoreError>;
 }
 
 impl QuerySource for StoreView {
@@ -924,14 +867,13 @@ impl QuerySource for StoreView {
         StoreView::num_docs(self)
     }
 
-    fn query_top_k_with_n(
+    fn query_top_k(
         &self,
         q: usize,
         k: usize,
-        n: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<(u32, f64)>, StoreError> {
-        self.top_k_with_n(q, k, n, scratch)
+        self.top_k(q, k, scratch)
     }
 }
 
@@ -948,24 +890,13 @@ impl QuerySource for HeapStore {
         self.collection.len()
     }
 
-    fn query_top_k_with_n(
+    fn query_top_k(
         &self,
         q: usize,
         k: usize,
-        n: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<(u32, f64)>, StoreError> {
-        Ok(crate::pipeline::mr_top_k_scratch(
-            &self.collection,
-            &self.pipeline.doc_segments,
-            &self.pipeline.clusters,
-            q,
-            k,
-            n,
-            self.pipeline.weighted_combination,
-            self.pipeline.weighting,
-            scratch,
-        ))
+        Ok(HeapMr::of(&self.collection, &self.pipeline).top_k(q, k, None, scratch))
     }
 }
 
@@ -976,15 +907,13 @@ impl QuerySource for crate::engine::QueryEngine<'_> {
 
     /// The engine manages its own per-worker scratches; the caller's
     /// scratch is unused.
-    fn query_top_k_with_n(
+    fn query_top_k(
         &self,
         q: usize,
         k: usize,
-        n: usize,
         _scratch: &mut QueryScratch,
     ) -> Result<Vec<(u32, f64)>, StoreError> {
-        self.try_top_k_with_n(q, k, n)
-            .map_err(|e| StoreError::Format(format!("query worker panicked: {e}")))
+        Ok(self.try_top_k(q, k, None)?)
     }
 }
 
@@ -992,41 +921,20 @@ impl QuerySource for crate::engine::QueryEngine<'_> {
 /// chunks, one scratch per worker), returning per-query results in input
 /// order. Single-threaded for `threads <= 1`. Results are bit-identical
 /// for every thread count — the property the equivalence tests sweep at
-/// 1/2/4/8 threads.
+/// 1/2/4/8 threads. A worker panic fails the batch with an error.
 pub fn top_k_many<S: QuerySource>(
     source: &S,
     queries: &[usize],
     k: usize,
     threads: usize,
 ) -> Result<Vec<Vec<(u32, f64)>>, StoreError> {
-    if queries.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = threads.max(1).min(queries.len());
-    if threads == 1 {
-        let mut scratch = QueryScratch::new();
-        return queries
-            .iter()
-            .map(|&q| source.query_top_k(q, k, &mut scratch))
-            .collect();
-    }
-    let chunk = queries.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|qs| {
-                s.spawn(move || {
-                    let mut scratch = QueryScratch::new();
-                    qs.iter()
-                        .map(|&q| source.query_top_k(q, k, &mut scratch))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(queries.len());
-        for h in handles {
-            out.extend(h.join().expect("query worker panicked")?);
-        }
-        Ok(out)
-    })
+    crate::par::try_parallel_map_init_with(
+        queries,
+        threads.max(1),
+        QueryScratch::new,
+        |scratch, &q| source.query_top_k(q, k, scratch),
+        |_| {},
+    )?
+    .into_iter()
+    .collect()
 }

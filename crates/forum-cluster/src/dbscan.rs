@@ -9,7 +9,7 @@
 //! evaluates every surviving candidate pair **once** (half-band symmetric
 //! scans), fans the pair work out across workers balanced by estimated
 //! pair count, and merges the clusters through one shared lock-free
-//! union-find ([`AtomicDsu`]) — producing labels and cluster ids
+//! union-find (`AtomicDsu`) — producing labels and cluster ids
 //! **bit-identical** to the textbook sequential scan ([`dbscan_reference`])
 //! for every thread count.
 //!

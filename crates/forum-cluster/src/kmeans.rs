@@ -4,7 +4,7 @@
 //! ablation clusters TF/IDF segment vectors (Section 9.2.3), and k-means is
 //! the distance-based contrast the paper mentions when motivating DBSCAN.
 //!
-//! [`kmeans`] (row slices) and [`kmeans_matrix`] (flat [`PointMatrix`]
+//! [`kmeans`](fn@kmeans) (row slices) and [`kmeans_matrix`] (flat [`PointMatrix`]
 //! storage) run the same core — same RNG call sequence, same accumulation
 //! order — so their outputs are bit-identical for identical point sets.
 
@@ -178,7 +178,7 @@ pub fn kmeans<R: Rng>(points: &[Vec<f64>], cfg: &KMeansConfig, rng: &mut R) -> K
     kmeans_core(points.len(), dim, |i| points[i].as_slice(), cfg, rng)
 }
 
-/// [`kmeans`] over flat storage; bit-identical output for the same points,
+/// [`kmeans`](fn@kmeans) over flat storage; bit-identical output for the same points,
 /// config and RNG state.
 pub fn kmeans_matrix<R: Rng>(
     points: &PointMatrix,

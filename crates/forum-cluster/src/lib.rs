@@ -3,11 +3,11 @@
 //! * [`feature`] — the 28-dimensional segment weight vectors of Eqs. 5 & 6:
 //!   14 within-segment relative weights plus 14 segment-vs-whole-post
 //!   weights, one pair per CM feature of Table 1.
-//! * [`dbscan`] — DBSCAN (Ester et al., 1996), the paper's clustering
+//! * [`dbscan`](mod@dbscan) — DBSCAN (Ester et al., 1996), the paper's clustering
 //!   choice: no a-priori cluster count, arbitrary shapes, and a noise
 //!   notion. Includes a sampled variant for collections whose segment count
 //!   makes the exact O(n²) neighbourhood search impractical.
-//! * [`kmeans`] — k-means with k-means++ seeding, used for the Content-MR
+//! * [`kmeans`](mod@kmeans) — k-means with k-means++ seeding, used for the Content-MR
 //!   ablation (clustering TF/IDF vectors needs a fixed k) and comparisons.
 //! * [`silhouette`] — silhouette scores for cluster-quality reporting.
 //! * [`assign`] — nearest-centroid assignment of new points to a frozen

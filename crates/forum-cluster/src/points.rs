@@ -161,7 +161,7 @@ pub fn sq_dist_bounded(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
 
 /// An exact eps-region candidate filter: points sorted by L2 norm, so a
 /// region query only scans the band `|‖candidate‖ − ‖query‖| ≤ eps`
-/// (plus [`NORM_BAND_SLACK`]) instead of the whole collection.
+/// (plus `NORM_BAND_SLACK`) instead of the whole collection.
 ///
 /// Points whose norm is NaN (any NaN coordinate) are keyed as `+∞`: they
 /// sort to the end, match only bands around `+∞`, and the exact distance

@@ -27,7 +27,7 @@
 //! | …      | B     | concatenated UTF-8 term text |
 //!
 //! [`FlatIndexView::materialize`] rebuilds a [`SegmentIndex`] through the
-//! same [`SegmentIndex::from_parts`] constructor the v1 decode path uses
+//! same `SegmentIndex::from_parts` constructor the v1 decode path uses
 //! (impact sidecars and the owner map are derived identically), so query
 //! results off a materialized cluster are bit-identical to the heap path.
 
@@ -294,7 +294,7 @@ impl<'a> FlatIndexView<'a> {
 
     /// Rebuilds a heap [`SegmentIndex`] from the view, validating every
     /// cross-reference (term blob ranges, posting ranges, unit ids) on the
-    /// way. Funnels through [`SegmentIndex::from_parts`] — the same
+    /// way. Funnels through `SegmentIndex::from_parts` — the same
     /// derived-data construction as the v1 decode — so retrieval off the
     /// result is bit-identical to a v1 roundtrip of the same index.
     pub fn materialize(&self) -> Result<SegmentIndex, DecodeError> {

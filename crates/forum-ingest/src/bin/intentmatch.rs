@@ -419,7 +419,7 @@ fn cmd_query(args: &[String]) -> CliResult {
                                 `intentmatch compact` first"
                         .into());
                 }
-                let trace = explain::explain_top_k(pipeline, collection, d, k);
+                let trace = explain::explain_top_k(pipeline, collection, d, k, None);
                 print!("{}", trace.render());
                 trace.ranking()
             } else if epoch.has_pending() {

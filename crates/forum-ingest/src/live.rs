@@ -10,19 +10,23 @@
 //! collection + pipeline, shared by `Arc` across epochs) plus a **delta**:
 //! documents ingested since the last compaction, their per-cluster
 //! [`DeltaIndex`] units, and tombstones for deletions and updates. The
-//! query path ([`LiveEpoch::top_k`]) mirrors the offline engine's
-//! Algorithm 1 + 2 combination exactly — same scan, same float-operation
-//! order — so an epoch with an empty delta is bit-identical to
+//! query path ([`LiveEpoch::query`]) is one more backend of the offline
+//! engine's Algorithm 2 ([`intentmatch::pipeline::run_algo2`]): its base
+//! side runs the shared per-cluster step, then merges the delta — so an
+//! epoch with an empty delta is bit-identical to
 //! [`intentmatch::QueryEngine`] over the base.
 
-use forum_index::{DeltaIndex, ScanCosts, ScoreScratch, SegmentIndex};
-use forum_obs::{Trace, TraceCosts};
+use forum_index::{DeltaIndex, ScanCosts, ScoreScratch};
+use forum_obs::Trace;
+use intentmatch::engine::scan_to_trace_costs;
+use intentmatch::par::WorkerPanic;
 use intentmatch::pipeline::{
-    cluster_weight_for_terms, query_cluster_groups, ranges_terms, RefinedSegment,
+    query_cluster_groups, ranges_terms, run_algo2, scan_cluster, QueryScratch, RefinedSegment,
+    ScanSpec, WeightedHits,
 };
 use intentmatch::{IntentPipeline, PostCollection};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// The last compacted state: what `intentmatch::store` persists.
@@ -294,113 +298,91 @@ impl LiveEpoch {
     }
 
     /// The top-k documents related to live document `q` (Algorithm 2 with
-    /// the paper's `n = 2k`).
+    /// the paper's `n = 2k`): [`Self::query`] without a trace.
     pub fn top_k(&self, q: u32, k: usize) -> Vec<(u32, f64)> {
-        self.top_k_with_n(q, k, 2 * k)
+        self.query(q, k, None)
     }
 
-    /// Algorithm 1 + 2 over base and delta with an explicit per-intention
-    /// list length `n`.
+    /// Algorithm 1 + 2 over base and delta: the runner
+    /// ([`intentmatch::pipeline::run_algo2`]) over `q`'s cluster groups,
+    /// with [`Self::scan_cluster_filtered`] as the step.
     ///
-    /// Per consulted cluster: the base scan excludes tombstoned owners
-    /// (exactly — see [`SegmentIndex::top_owners_excluding`]), the delta
-    /// scan scores pending units under the base's frozen statistics, and
-    /// the two lists merge under the engine's (score desc, owner asc)
-    /// order before truncation to `n`. Base and delta owner sets are
-    /// disjoint by construction (an updated document's base units are
-    /// tombstoned), so the merged truncation is the true top-`n` over live
-    /// documents. With an empty delta this collapses to the exact scan the
-    /// batch engine runs — bit-identical scores.
-    pub fn top_k_with_n(&self, q: u32, k: usize, n: usize) -> Vec<(u32, f64)> {
-        self.top_k_with_n_traced(q, k, n, None)
-    }
-
-    /// [`top_k_with_n`] recording `live/base_scan` and `live/delta_scan`
-    /// spans into `trace` when one is supplied — each span's duration is
-    /// the wall time *accumulated* across every consulted cluster, and its
-    /// costs are the summed scan-work counters for that side of the merge.
-    /// Scores are bit-identical with or without a trace: the counters ride
-    /// out-of-band next to the exact same float operations.
-    pub fn top_k_with_n_traced(
-        &self,
-        q: u32,
-        k: usize,
-        n: usize,
-        trace: Option<&mut Trace>,
-    ) -> Vec<(u32, f64)> {
+    /// With `trace`, records `live/base_scan` and `live/delta_scan` spans
+    /// — each span's duration is the wall time *accumulated* across every
+    /// consulted cluster (the base side's includes the cluster weight),
+    /// and its costs are the summed scan-work counters for that side of
+    /// the merge. Scores are bit-identical with or without a trace: the
+    /// counters ride out-of-band next to the exact same float operations.
+    pub fn query(&self, q: u32, k: usize, trace: Option<&mut Trace>) -> Vec<(u32, f64)> {
         forum_obs::Registry::global().incr("ingest/live_queries", 1);
         let Some(groups) = self.query_groups(q) else {
             return Vec::new();
         };
-        let mut scratch = ScoreScratch::new();
-        let mut acc: HashMap<u32, f64> = HashMap::new();
         let timing = trace.is_some();
-        let mut clusters_routed = 0u64;
-        let (mut base_ns, mut delta_ns) = (0u64, 0u64);
-        let mut delta_costs = ScanCosts::default();
-        for (cluster, terms) in &groups {
-            let Some(scan) = self.scan_cluster_filtered(
-                *cluster,
-                terms,
-                q,
-                n,
-                None,
-                timing,
-                &mut scratch,
-                &mut delta_costs,
-            ) else {
-                continue;
-            };
-            clusters_routed += 1;
-            base_ns += scan.base_ns;
-            delta_ns += scan.delta_ns;
-            for (owner, score) in scan.hits {
-                *acc.entry(owner).or_insert(0.0) += scan.weight * score;
-            }
+        // The runner's step is `Fn + Sync` (it may run on workers); this
+        // path runs it inline, so the tally's lock is never contended.
+        #[derive(Default)]
+        struct Tally {
+            clusters_routed: u64,
+            base_ns: u64,
+            delta_ns: u64,
+            delta_costs: ScanCosts,
         }
-        let mut out: Vec<(u32, f64)> = acc.into_iter().collect();
-        out.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("scores are finite")
-                .then(a.0.cmp(&b.0))
-        });
-        out.truncate(k);
+        let tally = Mutex::new(Tally::default());
+        let mut scratch = QueryScratch::new();
+        let out = run_algo2(
+            &groups,
+            k,
+            None,
+            1,
+            &mut scratch,
+            |(cluster, terms), n, s| {
+                let mut tally = tally.lock().unwrap_or_else(PoisonError::into_inner);
+                let scan = self.scan_cluster_filtered(
+                    *cluster,
+                    terms,
+                    q,
+                    n,
+                    None,
+                    timing,
+                    s,
+                    &mut tally.delta_costs,
+                );
+                Ok(scan.map(|scan| {
+                    tally.clusters_routed += 1;
+                    tally.base_ns += scan.base_ns;
+                    tally.delta_ns += scan.delta_ns;
+                    scan.merged
+                }))
+            },
+        )
+        .unwrap_or_else(|e: WorkerPanic| panic!("{e}"));
         if let Some(t) = trace {
-            let base_costs = scratch.costs.take();
-            t.push_span_ns(
-                "live/base_scan",
-                0,
-                base_ns,
-                TraceCosts {
-                    clusters_routed,
-                    postings_scanned: base_costs.postings_scanned,
-                    candidates_pruned: base_costs.candidates_pruned,
-                    heap_displacements: base_costs.heap_displacements,
-                    early_exits: base_costs.early_exits,
-                    ..TraceCosts::default()
-                },
-            );
-            t.push_span_ns(
-                "live/delta_scan",
-                0,
-                delta_ns,
-                TraceCosts {
-                    postings_scanned: delta_costs.postings_scanned,
-                    candidates_pruned: delta_costs.candidates_pruned,
-                    heap_displacements: delta_costs.heap_displacements,
-                    early_exits: delta_costs.early_exits,
-                    ..TraceCosts::default()
-                },
-            );
+            let tally = tally.into_inner().unwrap_or_else(PoisonError::into_inner);
+            let base_costs = scan_to_trace_costs(scratch.take_costs(), tally.clusters_routed);
+            t.push_span_ns("live/base_scan", 0, tally.base_ns, base_costs);
+            let delta_costs = scan_to_trace_costs(tally.delta_costs, 0);
+            t.push_span_ns("live/delta_scan", 0, tally.delta_ns, delta_costs);
         }
         out
     }
 
     /// One consulted cluster's merged base + delta scan for query `q` —
-    /// the per-cluster body of [`LiveEpoch::top_k_with_n_traced`],
-    /// extracted so the shard-parallel serving tier runs *this exact
-    /// code* per shard: sharded results are bit-identical to the
-    /// single-scanner loop by construction, not by re-implementation.
+    /// the step [`LiveEpoch::query`] hands Algorithm 2's runner, public
+    /// so the shard-parallel serving tier runs *this exact code* per
+    /// shard: sharded results are bit-identical to the single-scanner loop
+    /// by construction, not by re-implementation.
+    ///
+    /// The base side is the shared per-cluster step
+    /// ([`intentmatch::pipeline::scan_cluster`]) with the base tombstones
+    /// excluded (exactly — see
+    /// [`forum_index::SegmentIndex::top_owners_excluding`]); the delta
+    /// scan then scores pending units under the base's frozen statistics,
+    /// and the two lists merge under the engine's (score desc, owner asc)
+    /// order before truncation to `n`. Base and delta owner sets are
+    /// disjoint by construction (an updated document's base units are
+    /// tombstoned), so the merged truncation is the true top-`n` over live
+    /// documents. With an empty delta this is exactly the heap step.
     ///
     /// Returns `None` when the cluster contributes nothing (empty terms
     /// or non-positive combination weight). `filter` is the per-tenant
@@ -420,33 +402,20 @@ impl LiveEpoch {
         scratch: &mut ScoreScratch,
         delta_costs: &mut ScanCosts,
     ) -> Option<ClusterScan> {
-        if terms.is_empty() {
-            return None;
-        }
-        let base = &*self.base;
-        let scheme = base.pipeline.weighting;
-        let weighted = base.pipeline.weighted_combination;
-        let index = &base.pipeline.clusters[cluster].index;
-        let weight = if weighted {
-            cluster_weight_for_terms(index, terms)
-        } else {
-            1.0
-        };
-        if weight <= 0.0 {
-            return None;
-        }
-        let no_tombstones = HashSet::new();
-        let query = SegmentIndex::query_from_terms(terms);
-        let base_start = timing.then(Instant::now);
-        let mut hits = index.top_owners_excluding_filtered(
-            &query,
-            n,
-            scheme,
-            Some(q),
-            self.delta.base_tombstones(),
+        let pipeline = &self.base.pipeline;
+        let index = &pipeline.clusters[cluster].index;
+        let spec = ScanSpec {
+            exclude: Some(q),
+            tombstones: Some(self.delta.base_tombstones()),
             filter,
-            scratch,
-        );
+            ..ScanSpec::new(n, pipeline.weighted_combination, pipeline.weighting)
+        };
+        let base_start = timing.then(Instant::now);
+        let WeightedHits {
+            weight,
+            query,
+            mut hits,
+        } = scan_cluster(index, terms, &spec, scratch, None)?;
         let base_ns = base_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         // A full base page gives the delta scan a floor: its n-th
         // score is exact, so a pending unit whose upper bound falls
@@ -458,7 +427,7 @@ impl LiveEpoch {
             index,
             &query,
             Some(q),
-            &no_tombstones,
+            &HashSet::new(),
             filter,
             floor,
             delta_costs,
@@ -474,25 +443,27 @@ impl LiveEpoch {
             hits.truncate(n);
         }
         Some(ClusterScan {
-            weight,
-            hits,
+            merged: WeightedHits {
+                weight,
+                query,
+                hits,
+            },
             base_ns,
             delta_ns,
         })
     }
 }
 
-/// One cluster's contribution to a query: the Eq. 6 combination weight and
-/// the merged base + delta top-n, plus the scan's wall time split when
-/// timing was requested.
+/// One cluster's contribution to a live query: the merged base + delta
+/// [`WeightedHits`], plus the scan's wall time split when timing was
+/// requested.
 #[derive(Debug, Clone)]
 pub struct ClusterScan {
-    /// The cluster's Algorithm 2 combination weight (squared mean IDF of
-    /// the query's distinct terms in this cluster, or 1.0 unweighted).
-    pub weight: f64,
-    /// The merged `(owner, score)` top-n, (score desc, owner asc).
-    pub hits: Vec<(u32, f64)>,
-    /// Base-scan wall time in nanoseconds (0 unless timing requested).
+    /// The cluster's combination weight, its query, and the merged
+    /// `(owner, score)` top-n, (score desc, owner asc).
+    pub merged: WeightedHits,
+    /// Base-side wall time in nanoseconds (cluster weight and base scan;
+    /// 0 unless timing requested).
     pub base_ns: u64,
     /// Delta-scan wall time in nanoseconds (0 unless timing requested).
     pub delta_ns: u64,

@@ -25,6 +25,7 @@
 //! drop them from every ranking.
 
 use crate::ingest::snapshot_tag;
+use crate::serve::{results_json, QueryParams};
 use crate::wal;
 use crate::wal_path_for;
 use forum_obs::json::Json;
@@ -153,39 +154,13 @@ impl MappedServeApp {
     }
 
     fn query(&self, req: &Request) -> Response {
-        let body: Option<Json> = match req.body_str().map(str::trim) {
-            None => return Response::bad_request("body is not UTF-8"),
-            Some("") => None,
-            Some(text) => match Json::parse(text) {
-                Ok(v) => Some(v),
-                Err(e) => return Response::bad_request(format!("bad JSON body: {e}")),
-            },
-        };
-        let param_u64 = |key: &str| -> Result<Option<u64>, Response> {
-            if let Some(v) = req.query_param(key) {
-                return v
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| Response::bad_request(format!("{key} must be a number")));
-            }
-            match body.as_ref().and_then(|b| b.get(key)) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| Response::bad_request(format!("{key} must be a number"))),
-            }
-        };
-        let doc = match param_u64("doc") {
-            Ok(Some(d)) => d,
-            Ok(None) => return Response::bad_request("missing doc (query param or JSON body)"),
+        let QueryParams {
+            doc, k, explain, ..
+        } = match QueryParams::parse(req) {
+            Ok(params) => params,
             Err(resp) => return resp,
         };
-        let k = match param_u64("k") {
-            Ok(v) => v.unwrap_or(5) as usize,
-            Err(resp) => return resp,
-        };
-        if req.query_param("explain").is_some_and(|v| v != "0") {
+        if explain {
             return Response::bad_request(
                 "explain requires the hydrated engine: run serve without --mapped",
             );
@@ -219,21 +194,7 @@ impl MappedServeApp {
                 .with("query", doc)
                 .with("k", k as u64)
                 .with("backing", self.view.backing_name())
-                .with(
-                    "results",
-                    Json::Arr(
-                        ranking
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &(d, score))| {
-                                Json::obj()
-                                    .with("rank", (i + 1) as u64)
-                                    .with("doc", d)
-                                    .with("score", score)
-                            })
-                            .collect(),
-                    ),
-                ),
+                .with("results", results_json(&ranking)),
         )
     }
 }

@@ -565,48 +565,13 @@ impl ServeApp {
         }
     }
 
-    /// One parameter, from the query string or the JSON body (the query
-    /// string wins).
-    fn param_u64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<u64>, Response> {
-        if let Some(v) = req.query_param(key) {
-            return v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| Response::bad_request(format!("{key} must be a number")));
-        }
-        match body.as_ref().and_then(|b| b.get(key)) {
-            None => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| Response::bad_request(format!("{key} must be a number"))),
-        }
-    }
-
     fn query(&self, req: &Request) -> Response {
-        let body: Option<Json> = match req.body_str().map(str::trim) {
-            None => return Response::bad_request("body is not UTF-8"),
-            Some("") => None,
-            Some(text) => match Json::parse(text) {
-                Ok(v) => Some(v),
-                Err(e) => return Response::bad_request(format!("bad JSON body: {e}")),
-            },
-        };
-        let doc = match Self::param_u64(req, &body, "doc") {
-            Ok(Some(d)) => d,
-            Ok(None) => return Response::bad_request("missing doc (query param or JSON body)"),
+        let QueryParams {
+            doc, k, explain, ..
+        } = match QueryParams::parse(req) {
+            Ok(params) => params,
             Err(resp) => return resp,
         };
-        let k = match Self::param_u64(req, &body, "k") {
-            Ok(v) => v.unwrap_or(5) as usize,
-            Err(resp) => return resp,
-        };
-        let want_explain = req.query_param("explain").is_some_and(|v| v != "0")
-            || body
-                .as_ref()
-                .and_then(|b| b.get("explain"))
-                .is_some_and(|v| *v == Json::Bool(true));
-
         let epoch = self.handle.current();
         if doc >= epoch.num_docs() as u64 {
             return Response::bad_request(format!(
@@ -628,49 +593,34 @@ impl ServeApp {
         // EXPLAIN traces the compacted snapshot (its ranking is asserted
         // bit-identical to the offline engine); refuse while delta writes
         // are pending rather than trace the wrong state.
-        let (ranking, explain_out, path) = if want_explain {
+        let (ranking, explain_out, path) = if explain {
             if epoch.has_pending() {
                 return Response::text(
                     409,
                     "explain requires a compacted store: WAL writes are pending\n",
                 );
             }
-            let explain_out = explain::explain_top_k_with_n_traced(
+            let explain_out = explain::explain_top_k(
                 &epoch.base.pipeline,
                 &epoch.base.collection,
                 doc as usize,
                 k,
-                2 * k,
                 qtrace.as_mut(),
             );
             (explain_out.ranking(), Some(explain_out), "explain")
         } else if epoch.has_pending() {
-            (
-                epoch.top_k_with_n_traced(doc as u32, k, 2 * k, qtrace.as_mut()),
-                None,
-                "live",
-            )
-        } else if qtrace.is_some() {
-            // No delta, tracing on: the engine's sequential scan — the
-            // same Algorithm 2 as `pipeline.top_k`, bit for bit — with the
-            // `engine/algo2` span and its cost counters recorded.
+            (epoch.query(doc as u32, k, qtrace.as_mut()), None, "live")
+        } else {
+            // No delta: the offline engine's sequential scan — the same
+            // Algorithm 2 as `pipeline.top_k`, bit for bit — with the
+            // `engine/algo2` span and its cost counters when tracing.
             let engine =
                 intentmatch::QueryEngine::new(&epoch.base.collection, &epoch.base.pipeline)
                     .with_threads(1);
-            match engine.try_top_k_traced(doc as usize, k, qtrace.as_mut()) {
+            match engine.try_top_k(doc as usize, k, qtrace.as_mut()) {
                 Ok(ranking) => (ranking, None, "engine"),
                 Err(e) => return Response::text(500, format!("query failed: {e}\n")),
             }
-        } else {
-            // No delta: the offline engine's exact path.
-            (
-                epoch
-                    .base
-                    .pipeline
-                    .top_k(&epoch.base.collection, doc as usize, k),
-                None,
-                "engine",
-            )
         };
         obs.record_duration("serve/online_query_ns", started.elapsed());
 
@@ -697,6 +647,7 @@ impl ServeApp {
                             &epoch.base.collection,
                             doc as usize,
                             k,
+                            None,
                         )
                         .to_json(),
                     );
@@ -711,21 +662,7 @@ impl ServeApp {
             .with("query", doc)
             .with("k", k as u64)
             .with("epoch", epoch.epoch)
-            .with(
-                "results",
-                Json::Arr(
-                    ranking
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(d, score))| {
-                            Json::obj()
-                                .with("rank", (i + 1) as u64)
-                                .with("doc", d)
-                                .with("score", score)
-                        })
-                        .collect(),
-                ),
-            );
+            .with("results", results_json(&ranking));
         if let Some(explain_out) = explain_out {
             out = out.with("explain", explain_out.to_json());
         }
@@ -734,4 +671,85 @@ impl ServeApp {
         }
         Response::json(200, &out)
     }
+}
+
+/// A parsed `/query` request — the one parser every serving app uses: the
+/// JSON body (when one was sent) plus the query document, `k` (default 5)
+/// and whether EXPLAIN was asked for, each from the query string or the
+/// body (the query string wins).
+pub(crate) struct QueryParams {
+    /// The parsed JSON body, for app-specific parameters.
+    pub(crate) body: Option<Json>,
+    /// The query document.
+    pub(crate) doc: u64,
+    /// Requested result count.
+    pub(crate) k: usize,
+    /// `?explain=` other than `0`, or `"explain": true` in the body.
+    pub(crate) explain: bool,
+}
+
+impl QueryParams {
+    /// Parses `req`; the `Err` is the `400` to send back.
+    pub(crate) fn parse(req: &Request) -> Result<QueryParams, Response> {
+        let body: Option<Json> = match req.body_str().map(str::trim) {
+            None => return Err(Response::bad_request("body is not UTF-8")),
+            Some("") => None,
+            Some(text) => match Json::parse(text) {
+                Ok(v) => Some(v),
+                Err(e) => return Err(Response::bad_request(format!("bad JSON body: {e}"))),
+            },
+        };
+        let Some(doc) = param_u64(req, &body, "doc")? else {
+            return Err(Response::bad_request(
+                "missing doc (query param or JSON body)",
+            ));
+        };
+        let k = param_u64(req, &body, "k")?.unwrap_or(5) as usize;
+        let explain = req.query_param("explain").is_some_and(|v| v != "0")
+            || body
+                .as_ref()
+                .and_then(|b| b.get("explain"))
+                .is_some_and(|v| *v == Json::Bool(true));
+        Ok(QueryParams {
+            body,
+            doc,
+            k,
+            explain,
+        })
+    }
+}
+
+/// One `u64` parameter from the query string or the JSON body (the query
+/// string wins).
+fn param_u64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<u64>, Response> {
+    if let Some(v) = req.query_param(key) {
+        return v
+            .parse::<u64>()
+            .map(Some)
+            .map_err(|_| Response::bad_request(format!("{key} must be a number")));
+    }
+    match body.as_ref().and_then(|b| b.get(key)) {
+        None => Ok(None),
+        Some(v) => v
+            .as_u64()
+            .map(Some)
+            .ok_or_else(|| Response::bad_request(format!("{key} must be a number"))),
+    }
+}
+
+/// The `results` array of a `/query` response: one `{rank, doc, score}`
+/// object per ranked document.
+pub(crate) fn results_json(ranking: &[(u32, f64)]) -> Json {
+    Json::Arr(
+        ranking
+            .iter()
+            .enumerate()
+            .map(|(i, &(d, score))| {
+                Json::obj()
+                    .with("rank", (i + 1) as u64)
+                    .with("doc", d)
+                    .with("score", score)
+            })
+            .collect(),
+    )
 }

@@ -26,14 +26,16 @@
 //! stop and serves everything already admitted before `run` returns.
 
 use crate::live::{EpochHandle, LiveEpoch};
-use crate::serve::{default_objectives, ServeApp, ServeHealth};
+use crate::serve::{default_objectives, results_json, QueryParams, ServeApp, ServeHealth};
 use forum_index::{DocFilter, ScanCosts, ScoreScratch};
 use forum_obs::dashboard::StatusRow;
 use forum_obs::json::Json;
 use forum_obs::serve::{HealthSource, Request, Response, Stopper};
 use forum_obs::trace::TRACE_HEADER;
-use forum_obs::{prometheus, Objective, Registry, Trace, TraceCosts, TraceStore};
+use forum_obs::{prometheus, Objective, Registry, Trace, TraceStore};
 use forum_shard::{scatter_gather, ClusterHits, ShardPlan, ShardSet, ShardStats};
+use intentmatch::engine::scan_to_trace_costs;
+use intentmatch::pipeline::default_list_len;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, PoisonError, RwLock};
@@ -307,25 +309,18 @@ impl ShardServeApp {
     }
 
     fn query(&self, req: &Request) -> Response {
-        let body: Option<Json> = match req.body_str().map(str::trim) {
-            None => return Response::bad_request("body is not UTF-8"),
-            Some("") => None,
-            Some(text) => match Json::parse(text) {
-                Ok(v) => Some(v),
-                Err(e) => return Response::bad_request(format!("bad JSON body: {e}")),
-            },
-        };
-        let doc = match param_u64(req, &body, "doc") {
-            Ok(Some(d)) => d,
-            Ok(None) => return Response::bad_request("missing doc (query param or JSON body)"),
+        let QueryParams {
+            body,
+            doc,
+            k,
+            explain,
+        } = match QueryParams::parse(req) {
+            Ok(params) => params,
             Err(resp) => return resp,
         };
-        let k = match param_u64(req, &body, "k") {
-            // The per-request cap: a request cannot demand an unbounded
-            // merge, it gets the configured ceiling instead.
-            Ok(v) => (v.unwrap_or(5) as usize).min(self.max_k).max(1),
-            Err(resp) => return resp,
-        };
+        // The per-request cap: a request cannot demand an unbounded
+        // merge, it gets the configured ceiling instead.
+        let k = k.min(self.max_k).max(1);
         let threshold = match param_f64(req, &body, "threshold") {
             Ok(v) => v,
             Err(resp) => return resp,
@@ -336,12 +331,7 @@ impl ShardServeApp {
                 .and_then(Json::as_str)
                 .map(str::to_string)
         });
-        let want_explain = req.query_param("explain").is_some_and(|v| v != "0")
-            || body
-                .as_ref()
-                .and_then(|b| b.get("explain"))
-                .is_some_and(|v| *v == Json::Bool(true));
-        if want_explain {
+        if explain {
             // EXPLAIN is inherently a single-engine affair (it narrates the
             // sequential combination); the inner app owns it unchanged.
             return self.inner.handle(req);
@@ -383,7 +373,7 @@ impl ShardServeApp {
             .iter()
             .map(|(cluster, terms)| (*cluster, terms))
             .collect();
-        let n = 2 * k;
+        let n = default_list_len(k);
         let timing = qtrace.is_some();
         let epoch_ref = &*epoch;
         let outcome = scatter_gather(
@@ -404,19 +394,12 @@ impl ShardServeApp {
                     scratch,
                     delta_costs,
                 )?;
-                let base = scratch.costs.take();
-                let delta = delta_costs.take();
+                let mut costs = scratch.costs.take();
+                costs.merge(&delta_costs.take());
                 Some(ClusterHits {
-                    weight: scan.weight,
-                    hits: scan.hits,
-                    costs: TraceCosts {
-                        clusters_routed: 1,
-                        postings_scanned: base.postings_scanned + delta.postings_scanned,
-                        candidates_pruned: base.candidates_pruned + delta.candidates_pruned,
-                        heap_displacements: base.heap_displacements + delta.heap_displacements,
-                        early_exits: base.early_exits + delta.early_exits,
-                        distance_evals: 0,
-                    },
+                    weight: scan.merged.weight,
+                    hits: scan.merged.hits,
+                    costs: scan_to_trace_costs(costs, 1),
                     scan_ns: scan.base_ns + scan.delta_ns,
                 })
             },
@@ -453,42 +436,11 @@ impl ShardServeApp {
             .with("k", k as u64)
             .with("epoch", epoch.epoch)
             .with("shards", set.shards() as u64)
-            .with(
-                "results",
-                Json::Arr(
-                    ranked
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &(d, score))| {
-                            Json::obj()
-                                .with("rank", (i + 1) as u64)
-                                .with("doc", d)
-                                .with("score", score)
-                        })
-                        .collect(),
-                ),
-            );
+            .with("results", results_json(&ranked));
         if let Some(id) = trace_id {
             out = out.with("trace", id);
         }
         Response::json(200, &out)
-    }
-}
-
-/// One `u64` parameter from the query string or JSON body (query wins).
-fn param_u64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<u64>, Response> {
-    if let Some(v) = req.query_param(key) {
-        return v
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| Response::bad_request(format!("{key} must be a number")));
-    }
-    match body.as_ref().and_then(|b| b.get(key)) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| Response::bad_request(format!("{key} must be a number"))),
     }
 }
 

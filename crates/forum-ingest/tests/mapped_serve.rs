@@ -146,6 +146,10 @@ fn mapped_server_matches_heap_rankings_at_every_worker_count() {
         let (status, body) = post(addr, "/query?doc=0&explain=1", "");
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("explain"), "{body}");
+        // ... also when EXPLAIN is asked for in the JSON body.
+        let (status, body) = post(addr, "/query", r#"{"doc": 0, "explain": true}"#);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("explain"), "{body}");
 
         let (status, _) = post(addr, "/shutdown", "");
         assert_eq!(status, 200);

@@ -5,7 +5,7 @@
 //! can open it from a machine with no egress and a `curl`'d copy stays
 //! readable forever. Everything is rendered here: layout and styling as
 //! one inline `<style>` block, history as inline SVG sparklines built
-//! from [`TimeSeries`] samples, and the SLO states as a colored status
+//! from [`TimeSeries`](crate::TimeSeries) samples, and the SLO states as a colored status
 //! table. The page meta-refreshes itself (a plain `<meta>` tag, not
 //! script) so a browser left open stays live.
 

@@ -2,7 +2,7 @@
 //! topic-similarity retrieval baseline.
 //!
 //! The paper's evaluation (Section 9.2) compares its segment-based matcher
-//! against "matching based on LDA topics with Gibbs sampling" [7], [35].
+//! against "matching based on LDA topics with Gibbs sampling" \[7\], \[35\].
 //! This crate is that baseline, built from scratch:
 //!
 //! * [`lda`] — the model: collapsed Gibbs sampler over term-id documents,
