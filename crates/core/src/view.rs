@@ -722,6 +722,18 @@ impl StoreView {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<(u32, f64)>, StoreError> {
+        self.top_k_filtered(q, k, None, scratch)
+    }
+
+    /// [`Self::top_k`] over the documents `filter` admits, applied inside
+    /// each postings scan (a filtered document never takes a top-n slot).
+    pub fn top_k_filtered(
+        &self,
+        q: usize,
+        k: usize,
+        filter: Option<forum_index::DocFilter<'_>>,
+        scratch: &mut QueryScratch,
+    ) -> Result<Vec<(u32, f64)>, StoreError> {
         let segs = self.doc_segments(q)?;
         let groups = query_cluster_groups_of(&segs);
         let doc = if groups.is_empty() {
@@ -736,6 +748,7 @@ impl StoreView {
             let terms = doc_ranges_terms(doc, &group.ranges);
             let spec = ScanSpec {
                 exclude: Some(q as u32),
+                filter,
                 ..ScanSpec::new(n, weighted, self.weighting)
             };
             Ok(scan_cluster(&index, &terms, &spec, s, None))

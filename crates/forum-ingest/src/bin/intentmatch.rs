@@ -53,10 +53,12 @@
 //! `serve` binds an HTTP listener (default `127.0.0.1:7878`; use port `0`
 //! for an ephemeral port — the bound address is printed to stdout) and
 //! answers `POST /query` (`?doc=N&k=K`, `?explain=1` for the EXPLAIN
-//! trace as JSON) plus the standard telemetry endpoints: `GET /metrics`
+//! trace as JSON; `k` over `--max-k` is a `400`) from one app over the
+//! live store or, with `--mapped`, the snapshot file, plus the standard
+//! telemetry endpoints: `GET /metrics`
 //! (Prometheus text exposition with interpolated percentiles and windowed
-//! rates), `GET /healthz`, `GET /readyz` (live-engine readiness: store
-//! loaded, WAL writable, epoch, pending sizes), `GET /snapshot`
+//! rates), `GET /healthz`, `GET /readyz` (per-shard readiness plus the
+//! store's: WAL writable, epoch, pending sizes), `GET /snapshot`
 //! (JSON-lines metrics), `GET /events?tail=N` (the operational event log),
 //! `GET /traces?tail=N` / `GET /traces/<id>` (sampled request traces with
 //! per-phase spans and cost counters), `GET /slowlog` (queries over the
@@ -113,13 +115,22 @@ fn usage_text() -> String {
         "  compact  <store.imp> [--metrics-out M.jsonl]",
         "  add      <store.imp> <posts.txt> [--metrics-out M.jsonl]",
         "  stats    <store.imp> [--metrics-out M.jsonl]",
-        "  serve    <store.imp> [--addr HOST:PORT] [--mapped] [--sample-period MS] \
-         [--slo KEY=V,...] [--events-out E.jsonl] [--metrics-out M.jsonl] \
-         [--slow-ms MS] [--trace-sample N] [--trace-out T.jsonl]",
+        "  serve    <store.imp> [--addr HOST:PORT] [--mapped] [--shards S] [--workers W] \
+         [--queue-depth N] [--deadline-ms D] [--max-k K] [--boards FILE] \
+         [--sample-period MS] [--slo KEY=V,...] [--events-out E.jsonl] \
+         [--metrics-out M.jsonl] [--slow-ms MS] [--trace-sample N] [--trace-out T.jsonl]",
         "  migrate  <store.imp> [<out.imp>] [--metrics-out M.jsonl]",
         "  doctor   <store.imp> [--json]",
         "  validate [--exposition metrics.txt] [--traces traces.json] \
          [--alerts alerts.json] [--dashboard page.html]",
+        "",
+        "serve answers POST /query?doc=N&k=K from one app over either \
+         store: the live engine (WAL replayed, cluster scans fanned out over \
+         --shards) or, with --mapped, the snapshot file itself. The same \
+         guards hold on both: k over --max-k (default 100) is a 400 and k=0 \
+         answers no results; threshold=T must be finite; board=B must name \
+         a board of the --boards file (`doc_id board` lines); explain=1 \
+         takes neither filter and needs the live, compacted store.",
         "",
         "serve samples the metrics registry every --sample-period ms \
          (default 5000, 0 disables) into in-process time-series (GET \
@@ -134,7 +145,8 @@ fn usage_text() -> String {
          exactly the sections it consults. Rankings are bit-identical to \
          the default heap engine. The mapped reader is snapshot-only: it \
          refuses to start while WAL writes are pending (run `intentmatch \
-         compact` first) and does not support --text or --explain.",
+         compact` first), serves as one shard, and does not support --text \
+         or --explain.",
         "",
         "migrate rewrites a store in the current v2 sectioned layout \
          (legacy v1 stores also load transparently everywhere else; \
@@ -914,12 +926,19 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(path) = &trace_out {
         traces.set_sink(Path::new(path))?;
     }
-    if mapped {
+    let boards = match &boards_path {
+        Some(path) => Some(
+            forum_ingest::parse_boards(&std::fs::read_to_string(path)?)
+                .map_err(|e| format!("bad boards file {path}: {e}"))?,
+        ),
+        None => None,
+    };
+    // The live store stays open for the server's lifetime; the mapped
+    // backend never opens the WAL.
+    let mut live = None;
+    let backend = if mapped {
         if shards != 1 {
             return Err("--mapped serves one zero-copy view (drop --shards)".into());
-        }
-        if boards_path.is_some() {
-            return Err("--boards requires the sharded engine (drop --mapped)".into());
         }
         let pending = forum_ingest::pending_wal_records(Path::new(store_path))?;
         if pending > 0 {
@@ -929,70 +948,41 @@ fn cmd_serve(args: &[String]) -> CliResult {
             )
             .into());
         }
-        let view = std::sync::Arc::new(intentmatch::StoreView::open(Path::new(store_path))?);
-        let app = forum_ingest::MappedServeApp::new(view.clone());
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            workers
-        };
-        let server = forum_shard::PoolServer::bind(&addr)?
-            .with_workers(workers)
-            .with_queue_depth(queue_depth)
-            .with_deadline(std::time::Duration::from_millis(deadline_ms));
-        let bound = server.local_addr()?;
-        app.set_stopper(server.stopper()?);
-        println!("listening on http://{bound}");
-        use std::io::Write as _;
-        std::io::stdout().flush()?;
-        eprintln!(
-            "serving {store_path} mapped ({} backing, {} sections, {} bytes) on \
-             http://{bound} — {workers} worker(s), queue {queue_depth}, deadline \
-             {deadline_ms}ms — POST /shutdown to stop",
-            view.backing_name(),
-            view.sections().len(),
-            view.file_len(),
-        );
-        let handler_app = app.clone();
-        server.run(std::sync::Arc::new(
-            move |req: &forum_obs::serve::Request| handler_app.handle(req),
-        ));
-        eprintln!("server stopped");
-        if let Some(path) = metrics_out {
-            dump_metrics(&path)?;
+        let view = intentmatch::StoreView::open(Path::new(store_path))?;
+        forum_ingest::Backend::Mapped(std::sync::Arc::new(view))
+    } else {
+        let store = live.insert(LiveStore::open(
+            Path::new(store_path),
+            PipelineConfig::default(),
+            IngestConfig::default(),
+        )?);
+        forum_ingest::Backend::Live {
+            handle: store.handle(),
+            wal_path: forum_ingest::wal_path_for(Path::new(store_path)),
         }
-        return Ok(());
-    }
-    let live = LiveStore::open(
-        Path::new(store_path),
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )?;
-    let boards = match &boards_path {
-        Some(path) => Some(
-            forum_ingest::parse_boards(&std::fs::read_to_string(path)?)
-                .map_err(|e| format!("bad boards file {path}: {e}"))?,
-        ),
-        None => None,
     };
     let objectives = forum_ingest::parse_slo_overrides(
         &slo_specs,
         std::time::Duration::from_millis(deadline_ms),
     )?;
-    let app = forum_ingest::ShardServeApp::with_objectives(
-        live.handle(),
-        forum_ingest::wal_path_for(Path::new(store_path)),
-        forum_ingest::ShardServeConfig {
+    let app = forum_ingest::ServeApp::with_objectives(
+        backend,
+        forum_ingest::ServeConfig {
             shards,
             max_k,
             boards,
         },
         objectives,
     );
-    // The worker pool defaults to one worker per shard: under scatter,
-    // each admitted query fans its cluster scans across the shards, so
-    // matching the two keeps the pool saturated without oversubscribing.
-    let workers = if workers == 0 { shards } else { workers };
+    // The live pool defaults to one worker per shard: under scatter, each
+    // admitted query fans its cluster scans across the shards, so matching
+    // the two keeps the pool saturated without oversubscribing. A mapped
+    // query scans inline, so it gets one worker per core.
+    let workers = match (workers, mapped) {
+        (0, true) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        (0, false) => shards,
+        (w, _) => w,
+    };
     let server = forum_shard::PoolServer::bind(&addr)?
         .with_workers(workers)
         .with_queue_depth(queue_depth)

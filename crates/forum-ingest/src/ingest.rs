@@ -128,6 +128,26 @@ pub(crate) fn snapshot_tag(store_path: &Path) -> Result<u64, IngestError> {
     Ok(crate::wal::fnv1a(&bytes) ^ (bytes.len() as u64).rotate_left(32))
 }
 
+/// How many WAL records are pending on top of the snapshot at
+/// `store_path` — records whose tag does not match the snapshot are
+/// stale leftovers `Wal::open` would discard, so they do not count.
+/// A missing WAL is zero pending.
+///
+/// The mapped reader serves a snapshot, not a live store: it never opens
+/// the WAL, so `intentmatch serve --mapped` refuses to start while this
+/// is non-zero — serving a snapshot that pending writes have already
+/// superseded would silently drop them from every ranking.
+pub fn pending_wal_records(store_path: &Path) -> Result<usize, IngestError> {
+    let tag = snapshot_tag(store_path)?;
+    let inspection = crate::wal::inspect(&wal_path_for(store_path), tag)
+        .map_err(|e| IngestError::Wal(WalError::Io(e)))?;
+    Ok(if inspection.exists && inspection.tag_matches {
+        inspection.records.len()
+    } else {
+        0
+    })
+}
+
 /// A snapshot + WAL pair, open for writes, serving through an
 /// [`EpochHandle`].
 #[derive(Debug)]

@@ -38,32 +38,30 @@
 //! Operational moments (WAL recoveries and truncations, compactions, epoch
 //! swaps) additionally land in the process-wide [`forum_obs::EventLog`].
 //!
-//! A fourth layer, [`serve`], turns a store into a live HTTP endpoint:
-//! `POST /query` (optionally with a per-query EXPLAIN trace) plus the
-//! standard telemetry routes (`/metrics` Prometheus exposition, `/healthz`,
-//! `/readyz` with live-engine readiness, `/snapshot`, `/events`) — see
-//! `intentmatch serve`. [`mapped`] is its zero-hydration sibling: the
-//! same `/query` contract served straight off a v2 store through
-//! [`intentmatch::StoreView`] (lazy section loading, bit-identical
-//! rankings) — see `intentmatch serve --mapped`. The offline companion,
-//! [`doctor`], audits a store/WAL pair read-only and reports corruption,
+//! A fourth layer, [`serve`], turns a store into an HTTP endpoint: one
+//! [`ServeApp`] over a [`serve::Backend`] — the live engine above, its
+//! cluster scans fanned out across shards, or a read-only v2 snapshot
+//! served straight off disk through [`intentmatch::StoreView`] (lazy
+//! section loading, bit-identical rankings). Both answer `POST /query`
+//! (optionally with a per-query EXPLAIN trace) through one guard chain,
+//! plus the standard telemetry routes (`/metrics` Prometheus exposition,
+//! `/healthz`, per-shard `/readyz`, `/snapshot`, `/events`, `/traces`,
+//! `/slowlog`) and the SLO routes (`/alerts`, `/series`, `/dashboard`) —
+//! see `intentmatch serve [--mapped]`. The offline companion, [`doctor`],
+//! audits a store/WAL pair read-only and reports corruption,
 //! inconsistency, and drift — see `intentmatch doctor`.
 
 pub mod doctor;
 pub mod ingest;
 pub mod live;
-pub mod mapped;
 pub mod serve;
-pub mod shard_serve;
 pub mod wal;
 
 pub use doctor::{diagnose, ClusterHealth, DoctorReport};
-pub use ingest::{wal_path_for, IngestConfig, IngestError, LiveStore};
+pub use ingest::{pending_wal_records, wal_path_for, IngestConfig, IngestError, LiveStore};
 pub use live::{BaseState, ClusterScan, DeltaDoc, DeltaState, EpochHandle, LiveEpoch};
-pub use mapped::{pending_wal_records, MappedHealth, MappedServeApp};
 pub use serve::{
-    default_objectives, parse_slo_overrides, ServeApp, ServeHealth, DRIFT_DELTA_SERIES,
-    DRIFT_NOISE_SERIES,
+    default_objectives, parse_boards, parse_slo_overrides, Backend, ServeApp, ServeConfig,
+    ShardServeApp, ShardServeConfig, DRIFT_DELTA_SERIES, DRIFT_NOISE_SERIES,
 };
-pub use shard_serve::{parse_boards, ShardServeApp, ShardServeConfig};
 pub use wal::{Wal, WalError, WalInspection, WalRecord};

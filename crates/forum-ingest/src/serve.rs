@@ -1,42 +1,74 @@
-//! The live serving application: queries + telemetry over one HTTP port.
+//! The serving application: queries + telemetry over one HTTP port, over
+//! either backend.
 //!
-//! [`ServeApp`] owns the application-level routes and layers them over
-//! [`forum_obs::serve::TelemetryRoutes`]:
+//! [`ServeApp`] runs over a [`Backend`] — the live engine (an
+//! [`EpochHandle`] plus its WAL) or a read-only mapped snapshot (an
+//! [`intentmatch::StoreView`]) — and owns the application routes, layered
+//! over [`forum_obs::serve::TelemetryRoutes`]:
 //!
 //! * `POST /query` (also `GET`) — related posts for a collection-resident
-//!   document: `?doc=N&k=K`, or a JSON body `{"doc": N, "k": K}`. With
-//!   `?explain=1` the response carries the full EXPLAIN trace
-//!   ([`intentmatch::explain`]) whose ranking is bit-identical to the
-//!   offline [`intentmatch::QueryEngine`] — and therefore requires a
-//!   compacted store (`409` while WAL writes are pending).
+//!   document: `?doc=N&k=K`, or a JSON body `{"doc": N, "k": K}`. Every
+//!   request passes one guard chain before any work: `k` above the
+//!   configured cap is a `400` (`k = 0` answers `[]`), `?threshold=T`
+//!   must be finite and drops results scoring below `T` after the merge,
+//!   and `?board=B` must name a board of the boards file; it threads a
+//!   document filter into the postings scans themselves (filtered
+//!   documents neither surface nor consume top-n slots). Then:
+//!   - on the live backend, scatter/gather across the shard set: the
+//!     query's consulted clusters are partitioned by
+//!     [`forum_shard::ShardPlan`], each shard runs the per-cluster step
+//!     [`LiveEpoch::scan_cluster_filtered`], and results merge through
+//!     the engine's single Algorithm 2 fold in consultation order — so
+//!     the ranking is bit-identical for any shard count;
+//!   - on the mapped backend, [`StoreView::top_k_filtered`], faulting in
+//!     exactly the sections the query consults;
+//!   - with `?explain=1`, the EXPLAIN trace ([`intentmatch::explain`]),
+//!     whose ranking is bit-identical to the offline engine. It narrates
+//!     the unfiltered compacted snapshot, so it refuses `threshold` and
+//!     `board` (`400`), the mapped backend (`400`) and a live store with
+//!     pending WAL writes (`409`).
+//! * `GET /readyz` — per-shard readiness: `ready` when the backend and
+//!   every shard are up, `degraded` while only some shards serve (status
+//!   still `200` — degraded serves), `unready` (`503`) when the backend is
+//!   down or no shard is ready. The mapped backend is one shard.
 //! * `GET /alerts` — the SLO objectives with burn rates, alert states,
 //!   and last transition times ([`SloEvaluator::to_json`]).
 //! * `GET /series?name=N&window=fine|coarse` — retained samples of one
 //!   derived time-series (see [`ServeApp::start_sampler`]).
 //! * `GET /dashboard` — a self-contained server-rendered HTML dashboard
-//!   (inline SVG sparklines, no external assets).
-//! * `POST /shutdown` — stops the accept loop cleanly.
+//!   (inline SVG sparklines, no external assets), with one status row per
+//!   shard.
+//! * `POST /shutdown` — stops the accept loop cleanly. Drain semantics
+//!   come from the server: [`forum_shard::PoolServer`] closes its
+//!   admission queue on stop and serves everything already admitted.
 //! * everything else — the standard telemetry endpoints (`/metrics`,
-//!   `/healthz`, `/readyz`, `/snapshot`, `/events`).
+//!   `/healthz`, `/snapshot`, `/events`, `/traces`, `/slowlog`).
 //!
-//! Readiness ([`ServeHealth`]) is derived from live state: the store is
-//! loaded (by construction), the WAL is writable, and the current epoch id
-//! and pending-delta sizes ride along as detail. `/metrics` scrapes also
-//! feed a [`forum_obs::RateWindow`], so the exposition ends with derived
-//! gauges — `serve_qps`, `ingest_ops_per_sec`, `ingest_wal_bytes_per_sec` —
-//! computed by diffing the retained snapshots.
+//! `/metrics` scrapes also feed a [`forum_obs::RateWindow`], so the
+//! exposition ends with derived gauges — `serve_qps`, `ingest_ops_per_sec`,
+//! `ingest_wal_bytes_per_sec` — computed by diffing the retained
+//! snapshots, then the drift, trace and SLO gauges and the per-shard
+//! labeled families (`serve_shard_scans`, `serve_shard_postings_scanned`,
+//! `serve_shard_scan_ns`, `serve_shard_ready`).
 
-use crate::live::EpochHandle;
+use crate::live::{EpochHandle, LiveEpoch};
+use forum_index::{DocFilter, ScanCosts, ScoreScratch};
 use forum_obs::dashboard::{self, Panel, StatusRow};
 use forum_obs::json::Json;
 use forum_obs::serve::{HealthReport, HealthSource, Request, Response, Stopper, TelemetryRoutes};
 use forum_obs::timeseries::{unix_millis, ExtraGauges, OnSample};
 use forum_obs::trace::TRACE_HEADER;
 use forum_obs::{
-    prometheus, AlertSink, Objective, RateWindow, Registry, Sampler, SloEvaluator, SloState,
-    TimeSeries, Trace, TraceStore, Window,
+    prometheus, Objective, RateWindow, Registry, Sampler, SloEvaluator, SloState, TimeSeries,
+    Trace, TraceStore, Window,
 };
+use forum_shard::{scatter_gather, ClusterHits, ShardPlan, ShardSet, ShardStats};
+use intentmatch::engine::scan_to_trace_costs;
 use intentmatch::explain;
+use intentmatch::pipeline::{default_list_len, query_cluster_groups_of, QueryScratch};
+use intentmatch::StoreView;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -59,6 +91,9 @@ pub const DEFAULT_NOISE_RATE_CEILING: f64 = 0.5;
 /// Latency objective ceiling when no admission deadline is configured
 /// (matches `serve`'s default `--deadline-ms`).
 const DEFAULT_LATENCY_DEADLINE: Duration = Duration::from_secs(2);
+/// Default cap on the per-request `k` (the production guard against a
+/// single request demanding an unbounded merge).
+pub const DEFAULT_MAX_K: usize = 100;
 
 /// The serving tier's standard objectives, p99 latency bounded by
 /// `deadline` (the admission deadline; defaults to 2 s):
@@ -163,21 +198,125 @@ pub fn parse_slo_overrides(specs: &[String], deadline: Duration) -> Result<Vec<O
     ))
 }
 
-/// The model-drift values derived from live-engine state: pending delta
-/// docs over the compacted base, and the fraction of ingested segments
-/// the assign_eps gate dropped as noise.
-fn drift_values(handle: &EpochHandle) -> (f64, f64) {
-    let epoch = handle.current();
-    let ratio = epoch.delta.docs.len() as f64 / epoch.base.len().max(1) as f64;
-    let reg = Registry::global();
-    let segments_in = reg.counter("drift/segments_in").value();
-    let noise = reg.counter("ingest/noise_segments").value();
-    let noise_rate = if segments_in == 0 {
-        0.0
-    } else {
-        noise as f64 / segments_in as f64
-    };
-    (ratio, noise_rate)
+/// Parses a boards file: one `doc_id board_name` pair per line, `#`
+/// comments and blank lines ignored.
+pub fn parse_boards(text: &str) -> Result<HashMap<u32, String>, String> {
+    let mut map = HashMap::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.split_whitespace();
+        let (Some(id), Some(board), None) = (parts.next(), parts.next(), parts.next()) else {
+            return Err(format!("line {}: expected `doc_id board`", lineno + 1));
+        };
+        let id: u32 = id
+            .parse()
+            .map_err(|_| format!("line {}: bad doc id {id:?}", lineno + 1))?;
+        map.insert(id, board.to_string());
+    }
+    Ok(map)
+}
+
+/// What a [`ServeApp`] answers from.
+pub enum Backend {
+    /// The live engine: the serving epoch handle and the WAL beside its
+    /// snapshot (readiness requires the WAL to be writable).
+    Live {
+        /// The handle writers publish epochs through.
+        handle: Arc<EpochHandle>,
+        /// The store's WAL path.
+        wal_path: PathBuf,
+    },
+    /// A read-only v2 snapshot through a zero-copy view: startup touches
+    /// only the header, directory and cluster metadata, and each query
+    /// faults in exactly the sections it consults.
+    Mapped(Arc<StoreView>),
+}
+
+/// The state one request answers from: the live epoch current when it
+/// arrived (held for the whole request), or the mapped view.
+enum Pinned<'a> {
+    Live(Arc<LiveEpoch>),
+    Mapped(&'a StoreView),
+}
+
+impl Backend {
+    fn pin(&self) -> Pinned<'_> {
+        match self {
+            Backend::Live { handle, .. } => Pinned::Live(handle.current()),
+            Backend::Mapped(view) => Pinned::Mapped(view),
+        }
+    }
+
+    /// The model-drift values: pending delta docs over the compacted base
+    /// (always 0 for the read-only mapped snapshot), and the fraction of
+    /// ingested segments the assign_eps gate dropped as noise.
+    fn drift_values(&self) -> (f64, f64) {
+        let ratio = match self.pin() {
+            Pinned::Live(epoch) => epoch.delta.docs.len() as f64 / epoch.base.len().max(1) as f64,
+            Pinned::Mapped(_) => 0.0,
+        };
+        let reg = Registry::global();
+        let segments_in = reg.counter("drift/segments_in").value();
+        let noise = reg.counter("ingest/noise_segments").value();
+        let noise_rate = if segments_in == 0 {
+            0.0
+        } else {
+            noise as f64 / segments_in as f64
+        };
+        (ratio, noise_rate)
+    }
+}
+
+impl Pinned<'_> {
+    fn num_docs(&self) -> usize {
+        match self {
+            Pinned::Live(epoch) => epoch.num_docs(),
+            Pinned::Mapped(view) => view.num_docs(),
+        }
+    }
+
+    /// The compacted live epoch — the only state EXPLAIN can narrate.
+    fn compacted(&self) -> Option<&LiveEpoch> {
+        match self {
+            Pinned::Live(epoch) if !epoch.has_pending() => Some(epoch),
+            _ => None,
+        }
+    }
+
+    /// The backend's fields of a `/query` response and trace detail.
+    fn describe(&self, out: Json) -> Json {
+        match self {
+            Pinned::Live(epoch) => out.with("epoch", epoch.epoch),
+            Pinned::Mapped(view) => out.with("backing", view.backing_name()),
+        }
+    }
+
+    /// The dashboard's state row.
+    fn status_row(&self) -> StatusRow {
+        let value = match self {
+            Pinned::Live(epoch) => format!(
+                "epoch {} · {} docs · {} pending delta docs",
+                epoch.epoch,
+                epoch.num_docs(),
+                epoch.delta.docs.len(),
+            ),
+            Pinned::Mapped(view) => format!(
+                "mapped ({} backing) · {} docs · {} of {} clusters resident",
+                view.backing_name(),
+                view.num_docs(),
+                view.num_resident_clusters(),
+                view.num_clusters(),
+            ),
+        };
+        StatusRow {
+            label: "store".into(),
+            value,
+            class: "info",
+        }
+    }
 }
 
 /// Whether the WAL at `path` (or, before the first append, its directory)
@@ -196,63 +335,115 @@ fn wal_writable(path: &Path) -> bool {
     }
 }
 
-/// Readiness from live-engine state, answered on `/readyz`.
-pub struct ServeHealth {
-    handle: Arc<EpochHandle>,
-    wal_path: PathBuf,
-}
-
-impl ServeHealth {
-    /// Builds the health source the sharded app composes per-shard
-    /// readiness on top of.
-    pub(crate) fn new(handle: Arc<EpochHandle>, wal_path: PathBuf) -> ServeHealth {
-        ServeHealth { handle, wal_path }
-    }
-}
-
-impl HealthSource for ServeHealth {
+/// Backend readiness, the `detail` of `/readyz`. The live backend is
+/// ready while its WAL accepts writes; the mapped view is open by
+/// construction (header and directory verified), so it is always ready.
+impl HealthSource for Backend {
     fn health(&self) -> HealthReport {
-        let epoch = self.handle.current();
-        let wal_ok = wal_writable(&self.wal_path);
-        HealthReport {
-            ready: wal_ok,
-            detail: Json::obj()
-                .with("store_loaded", true)
-                .with("wal_writable", wal_ok)
-                .with("epoch", epoch.epoch)
-                .with("num_docs", epoch.num_docs() as u64)
-                .with("pending_docs", epoch.delta.docs.len() as u64)
-                .with("pending_units", epoch.delta.num_units() as u64),
+        match self {
+            Backend::Live { handle, wal_path } => {
+                let epoch = handle.current();
+                let wal_ok = wal_writable(wal_path);
+                HealthReport {
+                    ready: wal_ok,
+                    detail: Json::obj()
+                        .with("store_loaded", true)
+                        .with("wal_writable", wal_ok)
+                        .with("epoch", epoch.epoch)
+                        .with("num_docs", epoch.num_docs() as u64)
+                        .with("pending_docs", epoch.delta.docs.len() as u64)
+                        .with("pending_units", epoch.delta.num_units() as u64),
+                }
+            }
+            Backend::Mapped(view) => HealthReport {
+                ready: true,
+                detail: Json::obj()
+                    .with("store_loaded", true)
+                    .with("mapped", true)
+                    .with("backing", view.backing_name())
+                    .with("num_docs", view.num_docs() as u64)
+                    .with("num_clusters", view.num_clusters() as u64)
+                    .with("resident_clusters", view.num_resident_clusters() as u64)
+                    .with("store_bytes", view.file_len()),
+            },
         }
     }
 }
 
-/// The serving application: query routes over an [`EpochHandle`], layered
-/// on the standard telemetry endpoints.
+/// Configuration of the serving app.
+pub struct ServeConfig {
+    /// Shards the live backend's cluster scans fan out over (min 1). The
+    /// mapped backend always serves as one shard.
+    pub shards: usize,
+    /// Upper bound on the per-request `k`; larger requests get a `400`.
+    pub max_k: usize,
+    /// Optional document → board map backing the `?board=` filter.
+    pub boards: Option<HashMap<u32, String>>,
+}
+
+impl Default for ServeConfig {
+    fn default() -> ServeConfig {
+        ServeConfig {
+            shards: 1,
+            max_k: DEFAULT_MAX_K,
+            boards: None,
+        }
+    }
+}
+
+/// The serving app under its sharded-tier name.
+pub type ShardServeApp = ServeApp;
+/// The serving config under its sharded-tier name.
+pub type ShardServeConfig = ServeConfig;
+
+/// The boards file, with its board names collected once so an unknown
+/// board is refused without a scan.
+struct Boards {
+    of_doc: HashMap<u32, String>,
+    names: HashSet<String>,
+}
+
+/// The serving application: query routes over a [`Backend`], layered on
+/// the standard telemetry endpoints. Build with [`ServeApp::new`] (live)
+/// or [`ServeApp::with_objectives`], serve with
+/// [`forum_shard::PoolServer`] (or any server that dispatches to
+/// [`ServeApp::handle`]).
 pub struct ServeApp {
-    handle: Arc<EpochHandle>,
+    backend: Arc<Backend>,
     routes: TelemetryRoutes,
     stopper: Mutex<Option<Stopper>>,
     timeseries: Arc<TimeSeries>,
     slo: Arc<SloEvaluator>,
     sampler: Mutex<Option<Sampler>>,
+    /// Cluster → shard routing. The intention model is frozen between
+    /// rebuilds (compaction keeps every cluster), so it never changes.
+    shards: ShardSet,
+    stats: Arc<ShardStats>,
+    max_k: usize,
+    boards: Option<Boards>,
 }
 
 impl ServeApp {
-    /// Builds the app over the serving handle and the store's WAL path,
-    /// with the [`default_objectives`].
-    pub fn new(handle: Arc<EpochHandle>, wal_path: PathBuf) -> Arc<ServeApp> {
-        ServeApp::with_objectives(handle, wal_path, default_objectives(None))
+    /// Builds the app over the live serving handle and the store's WAL
+    /// path, with the [`default_objectives`].
+    pub fn new(handle: Arc<EpochHandle>, wal_path: PathBuf, config: ServeConfig) -> Arc<ServeApp> {
+        ServeApp::with_objectives(
+            Backend::Live { handle, wal_path },
+            config,
+            default_objectives(None),
+        )
     }
 
-    /// Builds the app with an explicit objective set (from `--slo`).
+    /// Builds the app over `backend` with an explicit objective set (from
+    /// `--slo`). All shards start ready: the shard view is routing state,
+    /// warm the moment it is built.
     ///
     /// Registers the request-level metrics up front so the very first
     /// `/metrics` scrape already exposes the `serve_*` families (a scrape
     /// arriving before the first query must still show the histogram).
     pub fn with_objectives(
-        handle: Arc<EpochHandle>,
-        wal_path: PathBuf,
+        backend: Backend,
+        config: ServeConfig,
         objectives: Vec<Objective>,
     ) -> Arc<ServeApp> {
         let registry = Registry::global();
@@ -260,70 +451,33 @@ impl ServeApp {
         registry.histogram("serve/http_request_ns");
         registry.histogram("serve/online_query_ns");
 
-        let health = Arc::new(ServeHealth {
-            handle: handle.clone(),
-            wal_path,
-        });
+        let shards = match backend.pin() {
+            Pinned::Live(epoch) => ShardSet::build(
+                ShardPlan::new(config.shards),
+                epoch.base.pipeline.clusters.len(),
+            ),
+            Pinned::Mapped(view) => ShardSet::build(ShardPlan::new(1), view.num_clusters()),
+        };
+        let stats = Arc::new(ShardStats::new(shards.shards()));
+        stats.mark_all_ready();
+        let backend = Arc::new(backend);
         let slo = Arc::new(SloEvaluator::new(objectives));
-        let rates = Mutex::new(RateWindow::new(RATE_RETENTION));
-        let drift_handle = handle.clone();
-        let slo_for_metrics = slo.clone();
-        let extra: Arc<dyn Fn(&mut String) + Send + Sync> = Arc::new(move |out: &mut String| {
-            let mut rates = rates.lock().unwrap_or_else(PoisonError::into_inner);
-            rates.push(Instant::now(), Registry::global().snapshot());
-            if let Some(qps) = rates.rate("serve/online_query_ns") {
-                prometheus::append_gauge(out, "serve_qps", qps);
-            }
-            if let Some(ops) = rates.rate_sum(&["ingest/added", "ingest/updated", "ingest/deleted"])
-            {
-                prometheus::append_gauge(out, "ingest_ops_per_sec", ops);
-            }
-            if let Some(bps) = rates.rate("ingest/wal_bytes") {
-                prometheus::append_gauge(out, "ingest_wal_bytes_per_sec", bps);
-            }
-            // Drift observability: how far the live state has moved from
-            // the frozen intention model since the last compaction.
-            let (delta_ratio, noise_rate) = drift_values(&drift_handle);
-            prometheus::append_gauge_with_help(
-                out,
-                "drift_delta_base_ratio",
-                "Pending delta documents as a fraction of the compacted base.",
-                delta_ratio,
-            );
-            prometheus::append_gauge_with_help(
-                out,
-                "drift_noise_rate",
-                "Fraction of ingested segments dropped as noise by the assign_eps gate.",
-                noise_rate,
-            );
-            let traces = TraceStore::global();
-            prometheus::append_gauge_with_help(
-                out,
-                "traces_seen",
-                "Query and ingest traces started since process start.",
-                traces.total_seen() as f64,
-            );
-            prometheus::append_gauge_with_help(
-                out,
-                "traces_kept",
-                "Traces retained in the trace ring after sampling.",
-                traces.total_kept() as f64,
-            );
-            prometheus::append_gauge_with_help(
-                out,
-                "traces_slow",
-                "Traces over the slow-query threshold (always retained).",
-                traces.total_slow() as f64,
-            );
-            slo_for_metrics.append_exposition(out);
+        let extra = metrics_extra(backend.clone(), slo.clone(), stats.clone());
+        let boards = config.boards.map(|of_doc| Boards {
+            names: of_doc.values().cloned().collect(),
+            of_doc,
         });
         Arc::new(ServeApp {
-            handle,
-            routes: TelemetryRoutes::global(health).with_metrics_extra(extra),
+            routes: TelemetryRoutes::global(backend.clone()).with_metrics_extra(extra),
+            backend,
             stopper: Mutex::new(None),
             timeseries: Arc::new(TimeSeries::new()),
             slo,
             sampler: Mutex::new(None),
+            shards,
+            stats,
+            max_k: config.max_k.max(1),
+            boards,
         })
     }
 
@@ -333,21 +487,10 @@ impl ServeApp {
         *self.stopper.lock().unwrap_or_else(PoisonError::into_inner) = Some(stopper);
     }
 
-    /// The retained time-series the sampler feeds (`/series`, the
-    /// dashboard, and SLO burn rates all read from here).
-    pub fn timeseries(&self) -> Arc<TimeSeries> {
-        self.timeseries.clone()
-    }
-
-    /// The SLO evaluator (for [`ServeApp::add_alert_sink`] and tests).
-    pub fn slo(&self) -> Arc<SloEvaluator> {
-        self.slo.clone()
-    }
-
-    /// Subscribes `sink` to SLO state transitions — the hook a
-    /// re-clustering trigger attaches to.
-    pub fn add_alert_sink(&self, sink: Arc<dyn AlertSink>) {
-        self.slo.add_sink(sink);
+    /// Per-shard readiness and cost counters (tests flip readiness here to
+    /// exercise the degraded `/readyz` states).
+    pub fn stats(&self) -> &ShardStats {
+        &self.stats
     }
 
     /// Starts the background sampler: every `period` it snapshots the
@@ -357,9 +500,9 @@ impl ServeApp {
     /// server's stopper fires; a second call replaces (and shuts down)
     /// the previous sampler.
     pub fn start_sampler(&self, period: Duration) {
-        let drift_handle = self.handle.clone();
+        let backend = self.backend.clone();
         let extras: ExtraGauges = Arc::new(move || {
-            let (delta_ratio, noise_rate) = drift_values(&drift_handle);
+            let (delta_ratio, noise_rate) = backend.drift_values();
             vec![
                 (DRIFT_DELTA_SERIES.to_string(), delta_ratio),
                 (DRIFT_NOISE_SERIES.to_string(), noise_rate),
@@ -379,7 +522,7 @@ impl ServeApp {
 
     /// Dispatches one request: application routes first, telemetry routes
     /// second, `404` otherwise. Records `serve/http_requests` and
-    /// `serve/http_request_ns` around every dispatch.
+    /// `serve/http_request_ns` once around every dispatch.
     pub fn handle(&self, req: &Request) -> Response {
         let obs = Registry::global();
         let started = Instant::now();
@@ -390,48 +533,70 @@ impl ServeApp {
     }
 
     fn dispatch(&self, req: &Request) -> Response {
-        match req.path.as_str() {
-            "/query" => {
-                if req.method != "POST" && req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.query(req)
+        type Route = fn(&ServeApp, &Request) -> Response;
+        let (methods, route): (&[&str], Route) = match req.path.as_str() {
+            "/query" => (&["GET", "POST"], ServeApp::query),
+            "/readyz" => (&["GET"], |app, _| app.readyz()),
+            "/alerts" => (&["GET"], |app, _| {
+                Response::json(200, &app.slo.to_json(unix_millis()))
+            }),
+            "/series" => (&["GET"], ServeApp::series),
+            "/dashboard" => (&["GET"], |app, _| app.dashboard()),
+            "/shutdown" => (&["POST"], |app, _| app.shutdown()),
+            _ => {
+                return self
+                    .routes
+                    .handle(req)
+                    .unwrap_or_else(|| Response::not_found(&req.path))
             }
-            "/alerts" => {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                Response::json(200, &self.slo.to_json(unix_millis()))
-            }
-            "/series" => {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.series(req)
-            }
-            "/dashboard" => {
-                if req.method != "GET" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                self.dashboard_response(Vec::new(), Vec::new())
-            }
-            "/shutdown" => {
-                if req.method != "POST" {
-                    return Response::text(405, "method not allowed\n");
-                }
-                if let Some(stopper) = &*self.stopper.lock().unwrap_or_else(PoisonError::into_inner)
-                {
-                    stopper.stop();
-                    Response::text(200, "stopping\n")
-                } else {
-                    Response::text(503, "no stopper installed\n")
-                }
-            }
-            _ => self
-                .routes
-                .handle(req)
-                .unwrap_or_else(|| Response::not_found(&req.path)),
+        };
+        if !methods.contains(&req.method.as_str()) {
+            return Response::text(405, "method not allowed\n");
         }
+        route(self, req)
+    }
+
+    fn shutdown(&self) -> Response {
+        match &*self.stopper.lock().unwrap_or_else(PoisonError::into_inner) {
+            Some(stopper) => {
+                stopper.stop();
+                Response::text(200, "stopping\n")
+            }
+            None => Response::text(503, "no stopper installed\n"),
+        }
+    }
+
+    fn readyz(&self) -> Response {
+        let report = self.backend.health();
+        let readiness = self.stats.readiness();
+        let ready_shards = readiness.iter().filter(|r| **r).count();
+        let state = if !report.ready || ready_shards == 0 {
+            "unready"
+        } else if ready_shards == readiness.len() {
+            "ready"
+        } else {
+            // Some shards serve: stay in rotation, flag the damage.
+            "degraded"
+        };
+        let status = if state == "unready" { 503 } else { 200 };
+        let shards = Json::Arr(
+            readiness
+                .iter()
+                .enumerate()
+                .map(|(i, &ready)| {
+                    Json::obj()
+                        .with("shard", i as u64)
+                        .with("ready", ready)
+                        .with("clusters_scanned", self.stats.counters(i).scans)
+                })
+                .collect(),
+        );
+        let body = Json::obj()
+            .with("ready", state == "ready")
+            .with("state", state)
+            .with("shards", shards)
+            .with("detail", report.detail);
+        Response::json(status, &body)
     }
 
     /// `GET /series?name=<series>&window=fine|coarse` — retained samples
@@ -472,17 +637,11 @@ impl ServeApp {
         }
     }
 
-    /// The self-contained `GET /dashboard` page. The sharded app calls
-    /// this with per-shard status rows; extra panels ride along the same
-    /// way.
-    pub fn dashboard_response(
-        &self,
-        extra_status: Vec<StatusRow>,
-        extra_panels: Vec<Panel>,
-    ) -> Response {
+    /// The self-contained `GET /dashboard` page: SLO rows, the backend's
+    /// state, one row per shard, and the sparkline panels.
+    fn dashboard(&self) -> Response {
         let ts = &self.timeseries;
         let now = unix_millis();
-        let epoch = self.handle.current();
         let mut status: Vec<StatusRow> = self
             .slo
             .objectives()
@@ -502,23 +661,28 @@ impl ServeApp {
                 }
             })
             .collect();
-        status.push(StatusRow {
-            label: "epoch".into(),
-            value: format!(
-                "{} · {} docs · {} pending delta docs",
-                epoch.epoch,
-                epoch.num_docs(),
-                epoch.delta.docs.len(),
-            ),
-            class: "info",
-        });
-        status.extend(extra_status);
+        status.push(self.backend.pin().status_row());
+        status.extend((0..self.stats.shards()).map(|i| {
+            let c = self.stats.counters(i);
+            let ready = self.stats.is_ready(i);
+            StatusRow {
+                label: format!("shard {i}"),
+                value: format!(
+                    "{} · {} scans · {} postings · {:.1} ms scan time",
+                    if ready { "ready" } else { "down" },
+                    c.scans,
+                    c.postings_scanned,
+                    c.scan_ns as f64 / 1e6,
+                ),
+                class: if ready { "ok" } else { "firing" },
+            }
+        }));
 
         let spark = |title: &str, series: &str, fmt: fn(f64) -> String| -> Panel {
             let samples = ts.samples(series, Window::Fine).unwrap_or_default();
             Panel::from_samples(title, &samples, fmt)
         };
-        let mut panels = vec![
+        let panels = vec![
             spark(
                 "query qps",
                 "serve/online_query_ns/rate",
@@ -544,18 +708,13 @@ impl ServeApp {
             spark("delta/base ratio", DRIFT_DELTA_SERIES, dashboard::fmt_value),
             spark("noise rate", DRIFT_NOISE_SERIES, dashboard::fmt_value),
         ];
-        panels.extend(extra_panels);
 
         let html = dashboard::render_page(
             "intentmatch serving dashboard",
             5,
             &status,
             &panels,
-            &format!(
-                "epoch {} · intentmatch v{}",
-                epoch.epoch,
-                env!("CARGO_PKG_VERSION"),
-            ),
+            &format!("intentmatch v{}", env!("CARGO_PKG_VERSION")),
         );
         Response {
             status: 200,
@@ -565,82 +724,151 @@ impl ServeApp {
         }
     }
 
+    /// The `?board=` guard: `None` when no board was asked for, the
+    /// document filter when the boards file lists the board, else the
+    /// `400`.
+    fn board_filter<'a>(
+        &'a self,
+        req: &'a Request,
+        body: &'a Option<Json>,
+    ) -> Result<Option<impl Fn(u32) -> bool + Sync + 'a>, Response> {
+        let board = req
+            .query_param("board")
+            .or_else(|| body.as_ref()?.get("board")?.as_str());
+        let Some(board) = board else {
+            return Ok(None);
+        };
+        match &self.boards {
+            None => Err(Response::bad_request(
+                "board filtering requires a boards file (--boards)",
+            )),
+            Some(boards) if !boards.names.contains(board) => {
+                Err(Response::bad_request(format!("unknown board {board:?}")))
+            }
+            Some(boards) => Ok(Some(move |owner: u32| {
+                boards.of_doc.get(&owner).is_some_and(|b| b == board)
+            })),
+        }
+    }
+
     fn query(&self, req: &Request) -> Response {
         let QueryParams {
-            doc, k, explain, ..
+            body,
+            doc,
+            k,
+            explain,
         } = match QueryParams::parse(req) {
             Ok(params) => params,
             Err(resp) => return resp,
         };
-        let epoch = self.handle.current();
-        if doc >= epoch.num_docs() as u64 {
+        // The guards, before any work: a request cannot demand an
+        // unbounded merge, a non-finite bar, or a board nobody posts on.
+        if k > self.max_k {
             return Response::bad_request(format!(
-                "doc {doc} out of range (collection has {})",
-                epoch.num_docs()
+                "k {k} is over the per-request cap of {} (--max-k)",
+                self.max_k
             ));
         }
-        let obs = Registry::global();
+        let threshold = match param_f64(req, &body, "threshold") {
+            Ok(v) => v,
+            Err(resp) => return resp,
+        };
+        let board = match self.board_filter(req, &body) {
+            Ok(board) => board,
+            Err(resp) => return resp,
+        };
+        let filtered = threshold.is_some() || board.is_some();
+        if explain && filtered {
+            return Response::bad_request(
+                "explain narrates the unfiltered ranking: drop threshold and board",
+            );
+        }
+
+        let pinned = self.backend.pin();
+        if doc >= pinned.num_docs() as u64 {
+            return Response::bad_request(format!(
+                "doc {doc} out of range (collection has {})",
+                pinned.num_docs()
+            ));
+        }
+        let compacted = pinned.compacted();
+        if explain && compacted.is_none() {
+            // EXPLAIN traces the compacted snapshot (its ranking is
+            // asserted bit-identical to the offline engine); refuse rather
+            // than trace the wrong state.
+            return match pinned {
+                Pinned::Mapped(_) => Response::bad_request(
+                    "explain requires the live engine: serve without --mapped",
+                ),
+                Pinned::Live(_) => Response::text(
+                    409,
+                    "explain requires a compacted store: WAL writes are pending\n",
+                ),
+            };
+        }
+
         let traces = TraceStore::global();
         // A request-scoped trace when tracing is on: the caller's
         // `X-Intentmatch-Trace` id propagates; otherwise one is generated.
-        // Every traced path below is bit-identical to its untraced twin
-        // (cost counting rides out-of-band), so enabling tracing never
-        // changes a ranking.
+        // Every traced path is bit-identical to its untraced twin (cost
+        // counting rides out-of-band), so tracing never moves a ranking.
         let mut qtrace = traces
             .is_enabled()
             .then(|| Trace::begin("query", req.header(TRACE_HEADER)));
         let started = Instant::now();
-        // EXPLAIN traces the compacted snapshot (its ranking is asserted
-        // bit-identical to the offline engine); refuse while delta writes
-        // are pending rather than trace the wrong state.
-        let (ranking, explain_out, path) = if explain {
-            if epoch.has_pending() {
-                return Response::text(
-                    409,
-                    "explain requires a compacted store: WAL writes are pending\n",
+        let filter: Option<DocFilter> = board.as_ref().map(|f| f as DocFilter);
+        let (mut ranked, explain_out, path) = match (&pinned, compacted) {
+            (_, Some(epoch)) if explain => {
+                let out = explain::explain_top_k(
+                    &epoch.base.pipeline,
+                    &epoch.base.collection,
+                    doc as usize,
+                    k,
+                    qtrace.as_mut(),
                 );
+                (out.ranking(), Some(out), "explain")
             }
-            let explain_out = explain::explain_top_k(
-                &epoch.base.pipeline,
-                &epoch.base.collection,
-                doc as usize,
-                k,
-                qtrace.as_mut(),
-            );
-            (explain_out.ranking(), Some(explain_out), "explain")
-        } else if epoch.has_pending() {
-            (epoch.query(doc as u32, k, qtrace.as_mut()), None, "live")
-        } else {
-            // No delta: the offline engine's sequential scan — the same
-            // Algorithm 2 as `pipeline.top_k`, bit for bit — with the
-            // `engine/algo2` span and its cost counters when tracing.
-            let engine =
-                intentmatch::QueryEngine::new(&epoch.base.collection, &epoch.base.pipeline)
-                    .with_threads(1);
-            match engine.try_top_k(doc as usize, k, qtrace.as_mut()) {
-                Ok(ranking) => (ranking, None, "engine"),
-                Err(e) => return Response::text(500, format!("query failed: {e}\n")),
+            (Pinned::Live(epoch), _) => {
+                match self.scatter(epoch, doc as u32, k, filter, qtrace.as_mut()) {
+                    Ok(ranked) => (ranked, None, "shard"),
+                    Err(e) => return Response::text(500, format!("query failed: {e}\n")),
+                }
+            }
+            (Pinned::Mapped(view), _) => {
+                match self.scan_mapped(view, doc as usize, k, filter, qtrace.as_mut()) {
+                    Ok(ranked) => (ranked, None, "mapped"),
+                    Err(e) => return Response::text(500, format!("query failed: {e}\n")),
+                }
             }
         };
-        obs.record_duration("serve/online_query_ns", started.elapsed());
+        if let Some(threshold) = threshold {
+            // Post-merge guard: scores are already exact, so this is a
+            // pure filter — it can only shorten the list, never reorder.
+            ranked.retain(|&(_, score)| score >= threshold);
+        }
+        Registry::global().record_duration("serve/online_query_ns", started.elapsed());
 
+        let shards = self.shards.shards() as u64;
         let trace_id = qtrace.map(|mut t| {
             t.set_detail(
-                Json::obj()
-                    .with("path", path)
-                    .with("doc", doc)
-                    .with("k", k as u64)
-                    .with("epoch", epoch.epoch),
+                pinned.describe(
+                    Json::obj()
+                        .with("path", path)
+                        .with("doc", doc)
+                        .with("k", k as u64)
+                        .with("shards", shards),
+                ),
             );
             t.finish();
             // A slow query lands in the slow log with its EXPLAIN attached
-            // (when the state admits one): the per-cluster candidates and
-            // weights that produced the slow ranking, next to the spans
-            // that say where the time went.
+            // when the state admits one: the per-cluster candidates and
+            // weights behind the slow ranking, next to the spans that say
+            // where the time went. A filtered query's ranking is not the
+            // one EXPLAIN narrates, so it gets none.
             if traces.is_slow(t.total_ns()) {
-                if let Some(explain_out) = &explain_out {
-                    t.attach_explain(explain_out.to_json());
-                } else if !epoch.has_pending() {
+                if let Some(out) = &explain_out {
+                    t.attach_explain(out.to_json());
+                } else if let (Some(epoch), false) = (compacted, filtered) {
                     t.attach_explain(
                         explain::explain_top_k(
                             &epoch.base.pipeline,
@@ -658,11 +886,10 @@ impl ServeApp {
             id
         });
 
-        let mut out = Json::obj()
-            .with("query", doc)
-            .with("k", k as u64)
-            .with("epoch", epoch.epoch)
-            .with("results", results_json(&ranking));
+        let mut out = pinned
+            .describe(Json::obj().with("query", doc).with("k", k as u64))
+            .with("shards", shards)
+            .with("results", results_json(&ranked));
         if let Some(explain_out) = explain_out {
             out = out.with("explain", explain_out.to_json());
         }
@@ -671,26 +898,201 @@ impl ServeApp {
         }
         Response::json(200, &out)
     }
+
+    /// The live ranking: `doc`'s consulted clusters scattered across the
+    /// shard set, each scanned by [`LiveEpoch::scan_cluster_filtered`]
+    /// (base and delta), gathered in consultation order. Traces
+    /// `shard/scatter`, `shard/<i>/scan` and `shard/gather`.
+    fn scatter(
+        &self,
+        epoch: &LiveEpoch,
+        doc: u32,
+        k: usize,
+        filter: Option<DocFilter>,
+        trace: Option<&mut Trace>,
+    ) -> Result<Vec<(u32, f64)>, forum_shard::WorkerPanic> {
+        Registry::global().incr("ingest/live_queries", 1);
+        let groups = epoch.query_groups(doc).unwrap_or_default();
+        let route: Vec<usize> = groups.iter().map(|(cluster, _)| *cluster).collect();
+        let terms_of: HashMap<usize, &Vec<String>> = groups
+            .iter()
+            .map(|(cluster, terms)| (*cluster, terms))
+            .collect();
+        let n = default_list_len(k);
+        let timing = trace.is_some();
+        let outcome = scatter_gather(
+            &self.shards,
+            &self.stats,
+            &route,
+            k,
+            || (ScoreScratch::new(), ScanCosts::default()),
+            |(scratch, delta_costs), cluster| {
+                let terms = terms_of.get(&cluster)?;
+                let scan = epoch.scan_cluster_filtered(
+                    cluster,
+                    terms,
+                    doc,
+                    n,
+                    filter,
+                    timing,
+                    scratch,
+                    delta_costs,
+                )?;
+                let mut costs = scratch.costs.take();
+                costs.merge(&delta_costs.take());
+                Some(ClusterHits {
+                    weight: scan.merged.weight,
+                    hits: scan.merged.hits,
+                    costs: scan_to_trace_costs(costs, 1),
+                    scan_ns: scan.base_ns + scan.delta_ns,
+                })
+            },
+            trace,
+        )?;
+        Ok(outcome.ranked)
+    }
+
+    /// The mapped ranking: [`StoreView::top_k_filtered`] with one scratch
+    /// per worker thread, reused across requests — the pool's workers are
+    /// long-lived, so the per-query allocation cost amortises to zero.
+    /// Counts toward shard 0 and traces one `view/algo2` span.
+    fn scan_mapped(
+        &self,
+        view: &StoreView,
+        doc: usize,
+        k: usize,
+        filter: Option<DocFilter>,
+        trace: Option<&mut Trace>,
+    ) -> Result<Vec<(u32, f64)>, intentmatch::store::StoreError> {
+        thread_local! {
+            static SCRATCH: RefCell<QueryScratch> = RefCell::new(QueryScratch::new());
+        }
+        let start = Instant::now();
+        let (ranked, costs) = SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut();
+            let ranked = view.top_k_filtered(doc, k, filter, scratch);
+            (ranked, scratch.take_costs())
+        });
+        let ranked = ranked?;
+        let routed = query_cluster_groups_of(&view.doc_segments(doc)?).len() as u64;
+        self.stats.record_scan(
+            0,
+            routed,
+            costs.postings_scanned,
+            start.elapsed().as_nanos() as u64,
+        );
+        if let Some(t) = trace {
+            t.push_span("view/algo2", start, scan_to_trace_costs(costs, routed));
+        }
+        Ok(ranked)
+    }
 }
 
-/// A parsed `/query` request — the one parser every serving app uses: the
-/// JSON body (when one was sent) plus the query document, `k` (default 5)
-/// and whether EXPLAIN was asked for, each from the query string or the
-/// body (the query string wins).
-pub(crate) struct QueryParams {
-    /// The parsed JSON body, for app-specific parameters.
-    pub(crate) body: Option<Json>,
+/// The scrape-time tail of `/metrics`: windowed rates, drift, trace and
+/// SLO gauges, then the per-shard labeled families.
+fn metrics_extra(
+    backend: Arc<Backend>,
+    slo: Arc<SloEvaluator>,
+    stats: Arc<ShardStats>,
+) -> Arc<dyn Fn(&mut String) + Send + Sync> {
+    let rates = Mutex::new(RateWindow::new(RATE_RETENTION));
+    Arc::new(move |out: &mut String| {
+        let mut rates = rates.lock().unwrap_or_else(PoisonError::into_inner);
+        rates.push(Instant::now(), Registry::global().snapshot());
+        if let Some(qps) = rates.rate("serve/online_query_ns") {
+            prometheus::append_gauge(out, "serve_qps", qps);
+        }
+        if let Some(ops) = rates.rate_sum(&["ingest/added", "ingest/updated", "ingest/deleted"]) {
+            prometheus::append_gauge(out, "ingest_ops_per_sec", ops);
+        }
+        if let Some(bps) = rates.rate("ingest/wal_bytes") {
+            prometheus::append_gauge(out, "ingest_wal_bytes_per_sec", bps);
+        }
+        // Drift observability: how far the live state has moved from the
+        // frozen intention model since the last compaction.
+        let (delta_ratio, noise_rate) = backend.drift_values();
+        prometheus::append_gauge_with_help(
+            out,
+            "drift_delta_base_ratio",
+            "Pending delta documents as a fraction of the compacted base.",
+            delta_ratio,
+        );
+        prometheus::append_gauge_with_help(
+            out,
+            "drift_noise_rate",
+            "Fraction of ingested segments dropped as noise by the assign_eps gate.",
+            noise_rate,
+        );
+        let traces = TraceStore::global();
+        prometheus::append_gauge_with_help(
+            out,
+            "traces_seen",
+            "Query and ingest traces started since process start.",
+            traces.total_seen() as f64,
+        );
+        prometheus::append_gauge_with_help(
+            out,
+            "traces_kept",
+            "Traces retained in the trace ring after sampling.",
+            traces.total_kept() as f64,
+        );
+        prometheus::append_gauge_with_help(
+            out,
+            "traces_slow",
+            "Traces over the slow-query threshold (always retained).",
+            traces.total_slow() as f64,
+        );
+        slo.append_exposition(out);
+
+        let mut shard_family = |name: &str, help: &str, kind: &str, f: &dyn Fn(usize) -> f64| {
+            let values: Vec<(String, f64)> =
+                (0..stats.shards()).map(|i| (i.to_string(), f(i))).collect();
+            prometheus::append_labeled_family(out, name, help, kind, "shard", &values);
+        };
+        shard_family(
+            "serve/shard_scans",
+            "Cluster scans routed to each shard.",
+            "counter",
+            &|i| stats.counters(i).scans as f64,
+        );
+        shard_family(
+            "serve/shard_postings_scanned",
+            "Postings walked by each shard's scans.",
+            "counter",
+            &|i| stats.counters(i).postings_scanned as f64,
+        );
+        shard_family(
+            "serve/shard_scan_ns",
+            "Cumulative scan wall time per shard, in nanoseconds.",
+            "counter",
+            &|i| stats.counters(i).scan_ns as f64,
+        );
+        shard_family(
+            "serve/shard_ready",
+            "Per-shard readiness (1 = serving).",
+            "gauge",
+            &|i| if stats.is_ready(i) { 1.0 } else { 0.0 },
+        );
+    })
+}
+
+/// A parsed `/query` request: the JSON body (when one was sent) plus the
+/// query document, `k` (default 5) and whether EXPLAIN was asked for,
+/// each from the query string or the body (the query string wins).
+struct QueryParams {
+    /// The parsed JSON body, for the filter parameters.
+    body: Option<Json>,
     /// The query document.
-    pub(crate) doc: u64,
+    doc: u64,
     /// Requested result count.
-    pub(crate) k: usize,
+    k: usize,
     /// `?explain=` other than `0`, or `"explain": true` in the body.
-    pub(crate) explain: bool,
+    explain: bool,
 }
 
 impl QueryParams {
     /// Parses `req`; the `Err` is the `400` to send back.
-    pub(crate) fn parse(req: &Request) -> Result<QueryParams, Response> {
+    fn parse(req: &Request) -> Result<QueryParams, Response> {
         let body: Option<Json> = match req.body_str().map(str::trim) {
             None => return Err(Response::bad_request("body is not UTF-8")),
             Some("") => None,
@@ -704,7 +1106,11 @@ impl QueryParams {
                 "missing doc (query param or JSON body)",
             ));
         };
-        let k = param_u64(req, &body, "k")?.unwrap_or(5) as usize;
+        // Saturating: any k past the cap is refused by the same guard.
+        let k = param_u64(req, &body, "k")?
+            .unwrap_or(5)
+            .try_into()
+            .unwrap_or(usize::MAX);
         let explain = req.query_param("explain").is_some_and(|v| v != "0")
             || body
                 .as_ref()
@@ -737,9 +1143,27 @@ fn param_u64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<u64
     }
 }
 
+/// One finite `f64` parameter from the query string or JSON body.
+fn param_f64(req: &Request, body: &Option<Json>, key: &str) -> Result<Option<f64>, Response> {
+    let parsed = if let Some(v) = req.query_param(key) {
+        v.parse::<f64>().ok()
+    } else {
+        match body.as_ref().and_then(|b| b.get(key)) {
+            None => return Ok(None),
+            Some(v) => v.as_f64(),
+        }
+    };
+    match parsed {
+        Some(v) if v.is_finite() => Ok(Some(v)),
+        _ => Err(Response::bad_request(format!(
+            "{key} must be a finite number"
+        ))),
+    }
+}
+
 /// The `results` array of a `/query` response: one `{rank, doc, score}`
 /// object per ranked document.
-pub(crate) fn results_json(ranking: &[(u32, f64)]) -> Json {
+fn results_json(ranking: &[(u32, f64)]) -> Json {
     Json::Arr(
         ranking
             .iter()
@@ -752,4 +1176,20 @@ pub(crate) fn results_json(ranking: &[(u32, f64)]) -> Json {
             })
             .collect(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn boards_file_parses_and_rejects_garbage() {
+        let map = parse_boards("0 hardware\n1 software\n\n# comment\n2 hardware\n").unwrap();
+        assert_eq!(map.len(), 3);
+        assert_eq!(map.get(&0).map(String::as_str), Some("hardware"));
+        assert_eq!(map.get(&1).map(String::as_str), Some("software"));
+        assert!(parse_boards("0 hardware extra\n").is_err());
+        assert!(parse_boards("zebra hardware\n").is_err());
+        assert!(parse_boards("3\n").is_err());
+    }
 }

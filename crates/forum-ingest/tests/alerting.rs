@@ -1,92 +1,23 @@
-//! Integration tests for the observability serving surface (PR 9): the
+//! Integration tests for the observability serving surface: the
 //! background sampler, `/alerts`, `/series`, and `/dashboard` on a real
-//! socket, against both the plain [`ServeApp`] and the sharded
-//! [`ShardServeApp`].
+//! socket, against a sampler-free 1-shard reference and a 2-shard app.
 //!
 //! The load-bearing property is the acceptance criterion that the
 //! sampler is *pure observation*: with a sampler scraping the registry
 //! every 25 ms while queries run, rankings must stay bit-identical to a
 //! sampler-free server over the same store.
 
-use forum_corpus::{Corpus, Domain, GenConfig};
-use forum_ingest::{
-    wal_path_for, IngestConfig, LiveStore, ServeApp, ShardServeApp, ShardServeConfig,
-};
+mod harness;
+
+use forum_ingest::{wal_path_for, ShardServeApp, ShardServeConfig};
 use forum_obs::json::Json;
-use forum_obs::serve::HttpServer;
 use forum_obs::Registry;
-use forum_shard::PoolServer;
-use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::Arc;
+use harness::{build_store, get, open_live, post, Served};
 use std::time::Duration;
 
-fn temp_store(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("forum-ingest-alerting-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
-fn build_store(path: &std::path::Path, num_posts: usize, seed: u64) {
-    let corpus = Corpus::generate(&GenConfig {
-        domain: Domain::TechSupport,
-        num_posts,
-        seed,
-    });
-    let coll = PostCollection::from_corpus(&corpus);
-    let pipe = IntentPipeline::build(&coll, &PipelineConfig::default());
-    store::save(path, &coll, &pipe).unwrap();
-}
-
-/// One HTTP exchange over a fresh connection; returns (status, body).
-fn http(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    stream.read_to_string(&mut out).unwrap();
-    let status = out
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = out
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    http(addr, &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
 /// The `results` array of a `/query` response, scores as raw bits.
-fn ranking_bits(body: &str) -> Vec<(u64, u64)> {
-    let v = Json::parse(body.trim()).expect("query response must be JSON");
-    v.get("results")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|r| {
-            (
-                r.get("doc").unwrap().as_u64().unwrap(),
-                r.get("score").unwrap().as_f64().unwrap().to_bits(),
-            )
-        })
-        .collect()
+fn ranking_bits(body: &str) -> Vec<(u32, u64)> {
+    harness::bits(&harness::ranking_of(body))
 }
 
 #[test]
@@ -95,26 +26,18 @@ fn sampler_keeps_rankings_bit_identical_and_serves_alerts_series_dashboard() {
     let registry_was = registry.is_enabled();
     registry.set_enabled(true);
 
-    let store_path = temp_store("alerting.imp");
+    let store_path = harness::temp_dir("alerting").join("alerting.imp");
     build_store(&store_path, 80, 7);
-    let live = LiveStore::open(
-        &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
+    let live = open_live(&store_path);
 
-    // Reference: plain app, no sampler.
-    let reference = ServeApp::new(live.handle(), wal_path_for(&store_path));
-    let ref_server = HttpServer::bind("127.0.0.1:0").unwrap();
-    let ref_addr = ref_server.local_addr().unwrap();
-    reference.set_stopper(ref_server.stopper().unwrap());
-    let handler = reference.clone();
-    let ref_join = std::thread::spawn(move || {
-        ref_server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-            handler.handle(req)
-        }))
-    });
+    // Reference: one shard, no sampler.
+    let reference = ShardServeApp::new(
+        live.handle(),
+        wal_path_for(&store_path),
+        ShardServeConfig::default(),
+    );
+    let ref_served = Served::spawn(&reference);
+    let ref_addr = ref_served.addr;
 
     // Under test: the sharded app with an aggressive 25 ms sampler, so
     // dozens of scrapes and SLO evaluations land *while* queries run.
@@ -126,16 +49,9 @@ fn sampler_keeps_rankings_bit_identical_and_serves_alerts_series_dashboard() {
             ..ShardServeConfig::default()
         },
     );
-    let server = PoolServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
-    app.set_stopper(server.stopper().unwrap());
+    let served = Served::spawn(&app);
+    let addr = served.addr;
     app.start_sampler(Duration::from_millis(25));
-    let handler_app = app.clone();
-    let join = std::thread::spawn(move || {
-        server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-            handler_app.handle(req)
-        }))
-    });
 
     // Bit-identity with the sampler running: every query, both servers,
     // identical bits — repeated so samples demonstrably interleave.
@@ -213,7 +129,7 @@ fn sampler_keeps_rankings_bit_identical_and_serves_alerts_series_dashboard() {
     }
 
     // /dashboard: self-contained HTML with sparklines, SLO status rows,
-    // and (on the sharded app) per-shard rows.
+    // and one row per shard.
     let (status, page) = get(addr, "/dashboard");
     assert_eq!(status, 200);
     assert!(page.starts_with("<!DOCTYPE html>"), "not an HTML page");
@@ -226,11 +142,11 @@ fn sampler_keeps_rankings_bit_identical_and_serves_alerts_series_dashboard() {
             "dashboard is not self-contained: found {needle:?}"
         );
     }
-    // The un-sharded reference serves the same page minus shard rows.
+    // The 1-shard reference serves the same page with its one shard row.
     let (status, ref_page) = get(ref_addr, "/dashboard");
     assert_eq!(status, 200);
     assert!(ref_page.starts_with("<!DOCTYPE html>"));
-    assert!(!ref_page.contains("shard 0"));
+    assert!(ref_page.contains("shard 0") && !ref_page.contains("shard 1"));
 
     // The new routes are GET-only.
     for target in ["/alerts", "/series?name=x", "/dashboard"] {
@@ -245,12 +161,8 @@ fn sampler_keeps_rankings_bit_identical_and_serves_alerts_series_dashboard() {
     assert!(metrics.contains("slo_burn_rate{objective=\"latency_p99\"}"));
     forum_obs::prometheus::validate_exposition(&metrics).unwrap();
 
-    let (status, body) = post(addr, "/shutdown", "");
-    assert_eq!((status, body.as_str()), (200, "stopping\n"));
-    join.join().unwrap();
-    let (status, _) = post(ref_addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    ref_join.join().unwrap();
+    served.shutdown();
+    ref_served.shutdown();
 
     drop(live);
     registry.set_enabled(registry_was);

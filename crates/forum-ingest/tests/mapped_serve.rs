@@ -1,116 +1,29 @@
 //! Socket-level integration test of the mapped serving tier: a real
-//! [`forum_shard::PoolServer`] over a real [`forum_ingest::MappedServeApp`]
-//! whose only state is an `Arc<intentmatch::StoreView>` — every ranking
+//! [`forum_shard::PoolServer`] over a real [`forum_ingest::ServeApp`]
+//! whose backend is an `Arc<intentmatch::StoreView>` — every ranking
 //! served off the mmap view must be **bit-identical** to the heap
 //! engine's, at every worker count.
 
-use forum_corpus::{Corpus, Domain, GenConfig};
-use forum_ingest::{pending_wal_records, IngestConfig, LiveStore, MappedServeApp};
+mod harness;
+
+use forum_ingest::{pending_wal_records, ServeConfig};
 use forum_obs::json::Json;
-use forum_shard::PoolServer;
-use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection, StoreView};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use harness::{bits, build_store, get, mapped_app, open_live, post, ranking_of, Served};
+use intentmatch::{store, StoreView};
 use std::sync::Arc;
-
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("forum-ingest-mapped-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn build_store(
-    path: &std::path::Path,
-    num_posts: usize,
-    seed: u64,
-) -> (PostCollection, IntentPipeline) {
-    let corpus = Corpus::generate(&GenConfig {
-        domain: Domain::TechSupport,
-        num_posts,
-        seed,
-    });
-    let coll = PostCollection::from_corpus(&corpus);
-    let pipe = IntentPipeline::build(&coll, &PipelineConfig::default());
-    store::save(path, &coll, &pipe).unwrap();
-    (coll, pipe)
-}
-
-/// One HTTP exchange over a fresh connection; returns (status, body).
-fn http(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    stream.read_to_string(&mut out).unwrap();
-    let status = out
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = out
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    http(addr, &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-/// Collapses a ranking into comparable-by-`Eq` form (f64 → raw bits).
-fn bits(hits: &[(u32, f64)]) -> Vec<(u32, u64)> {
-    hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
-}
-
-/// The `results` array of a `/query` response as `(doc, score)` pairs.
-fn ranking_of(body: &str) -> Vec<(u32, f64)> {
-    let v = Json::parse(body.trim()).expect("query response must be JSON");
-    v.get("results")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|r| {
-            (
-                r.get("doc").unwrap().as_u64().unwrap() as u32,
-                r.get("score").unwrap().as_f64().unwrap(),
-            )
-        })
-        .collect()
-}
 
 #[test]
 fn mapped_server_matches_heap_rankings_at_every_worker_count() {
     const K: usize = 5;
-    let store_path = temp_dir().join("mapped-e2e.imp");
+    let store_path = harness::temp_dir("mapped").join("mapped-e2e.imp");
     let (coll, pipe) = build_store(&store_path, 100, 11);
     let heap: Vec<Vec<(u32, f64)>> = (0..coll.len()).map(|q| pipe.top_k(&coll, q, K)).collect();
 
     for workers in [1usize, 2, 4, 8] {
         let view = Arc::new(StoreView::open(&store_path).unwrap());
-        let app = MappedServeApp::new(view.clone());
-        let server = PoolServer::bind("127.0.0.1:0")
-            .unwrap()
-            .with_workers(workers);
-        let addr = server.local_addr().unwrap();
-        app.set_stopper(server.stopper().unwrap());
-        let handler_app = app.clone();
-        let join = std::thread::spawn(move || {
-            server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-                handler_app.handle(req)
-            }))
-        });
+        let app = mapped_app(view.clone(), ServeConfig::default());
+        let served = Served::spawn_with(&app, |s| s.with_workers(workers));
+        let addr = served.addr;
 
         // Readiness reflects the mapped view, nothing resident yet.
         let (status, body) = get(addr, "/readyz");
@@ -151,25 +64,18 @@ fn mapped_server_matches_heap_rankings_at_every_worker_count() {
         assert_eq!(status, 400, "{body}");
         assert!(body.contains("explain"), "{body}");
 
-        let (status, _) = post(addr, "/shutdown", "");
-        assert_eq!(status, 200);
-        join.join().unwrap();
+        served.shutdown();
     }
 }
 
 #[test]
 fn pending_wal_records_gate_the_mapped_reader() {
-    let store_path = temp_dir().join("mapped-pending.imp");
+    let store_path = harness::temp_dir("mapped").join("mapped-pending.imp");
     let (coll, _pipe) = build_store(&store_path, 30, 12);
     assert_eq!(pending_wal_records(&store_path).unwrap(), 0);
 
     // One durable write: the snapshot is now stale, the gate must trip.
-    let mut live = LiveStore::open(
-        &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
+    let mut live = open_live(&store_path);
     live.add_batch(&["The RAID rebuild stalls at the same block every time.".to_string()])
         .unwrap();
     assert_eq!(pending_wal_records(&store_path).unwrap(), 1);

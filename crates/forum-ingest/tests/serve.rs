@@ -1,90 +1,17 @@
 //! In-process integration test of `intentmatch serve`'s application layer:
-//! a real [`forum_obs::serve::HttpServer`] on a real socket, the real
+//! a real [`forum_shard::PoolServer`] on a real socket, the real
 //! [`forum_ingest::ServeApp`] over a real store — health, readiness,
 //! Prometheus scrape, queries (bit-identical to the offline engine),
 //! EXPLAIN, the event log, and clean shutdown.
 
-use forum_corpus::{Corpus, Domain, GenConfig};
-use forum_ingest::{wal_path_for, IngestConfig, LiveStore, ServeApp};
+mod harness;
+
+use forum_ingest::{wal_path_for, ServeConfig};
 use forum_obs::json::Json;
-use forum_obs::serve::HttpServer;
 use forum_obs::{prometheus, EventLog, Registry};
-use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection, QueryEngine};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
-use std::sync::Arc;
-
-fn temp_store(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("forum-ingest-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
-}
-
-fn build_store(path: &std::path::Path, num_posts: usize, seed: u64) {
-    let corpus = Corpus::generate(&GenConfig {
-        domain: Domain::TechSupport,
-        num_posts,
-        seed,
-    });
-    let coll = PostCollection::from_corpus(&corpus);
-    let pipe = IntentPipeline::build(&coll, &PipelineConfig::default());
-    store::save(path, &coll, &pipe).unwrap();
-}
-
-/// One HTTP exchange over a fresh connection; returns (status, body).
-fn http(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    stream.read_to_string(&mut out).unwrap();
-    let status = out
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = out
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    http(addr, &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-/// Collapses a ranking into comparable-by-`Eq` form (f64 → raw bits).
-fn bits(hits: &[(u32, f64)]) -> Vec<(u32, u64)> {
-    hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
-}
-
-/// The `results` array of a `/query` response as `(doc, score)` pairs.
-fn ranking_of(body: &str) -> Vec<(u32, f64)> {
-    let v = Json::parse(body.trim()).expect("query response must be JSON");
-    v.get("results")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|r| {
-            (
-                r.get("doc").unwrap().as_u64().unwrap() as u32,
-                r.get("score").unwrap().as_f64().unwrap(),
-            )
-        })
-        .collect()
-}
+use harness::{bits, build_store, get, http, live_app, open_live, post, ranking_of, Served};
+use intentmatch::{store, QueryEngine};
+use std::net::SocketAddr;
 
 #[test]
 fn serve_app_end_to_end_over_a_real_socket() {
@@ -95,25 +22,12 @@ fn serve_app_end_to_end_over_a_real_socket() {
     let events_was = events.is_enabled();
     events.set_enabled(true);
 
-    let store_path = temp_store("e2e.imp");
+    let store_path = harness::temp_dir("serve").join("e2e.imp");
     build_store(&store_path, 80, 7);
-    let mut live = LiveStore::open(
-        &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
-    let app = ServeApp::new(live.handle(), wal_path_for(&store_path));
-
-    let server = HttpServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
-    app.set_stopper(server.stopper().unwrap());
-    let handler_app = app.clone();
-    let join = std::thread::spawn(move || {
-        server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-            handler_app.handle(req)
-        }))
-    });
+    let mut live = open_live(&store_path);
+    let app = live_app(&live, &store_path, ServeConfig::default());
+    let served = Served::spawn(&app);
+    let addr = served.addr;
 
     // Liveness and readiness.
     let (status, body) = get(addr, "/healthz");
@@ -221,9 +135,7 @@ fn serve_app_end_to_end_over_a_real_socket() {
     assert!(metrics.contains("serve_http_requests"), "{metrics}");
 
     // Clean shutdown via the route.
-    let (status, _) = post(addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    join.join().unwrap();
+    served.shutdown();
 
     registry.set_enabled(registry_was);
     events.set_enabled(events_was);
@@ -243,34 +155,29 @@ fn post_traced(addr: SocketAddr, target: &str, body: &str, trace_id: &str) -> (u
     )
 }
 
-/// The tentpole's two acceptance properties, over a real socket: turning
-/// tracing on must not move a single result bit, and a query over the
-/// slow threshold must land in `/slowlog` with its EXPLAIN and per-phase
-/// cost counters attached.
+/// Two acceptance properties of the production (sharded) path, over a
+/// real socket: turning tracing on must not move a single result bit, and
+/// a query over the slow threshold must land in `/slowlog` with its
+/// EXPLAIN and per-phase cost counters attached.
 #[test]
 fn tracing_is_bit_identical_and_slow_queries_reach_the_slowlog() {
     let registry = Registry::global();
     let registry_was = registry.is_enabled();
     registry.set_enabled(true);
 
-    let store_path = temp_store("trace.imp");
+    let store_path = harness::temp_dir("serve").join("trace.imp");
     build_store(&store_path, 60, 11);
-    let live = LiveStore::open(
+    let live = open_live(&store_path);
+    let app = live_app(
+        &live,
         &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
-    let app = ServeApp::new(live.handle(), wal_path_for(&store_path));
-    let server = HttpServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap();
-    app.set_stopper(server.stopper().unwrap());
-    let handler_app = app.clone();
-    let join = std::thread::spawn(move || {
-        server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-            handler_app.handle(req)
-        }))
-    });
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let served = Served::spawn(&app);
+    let addr = served.addr;
 
     let traces = forum_obs::TraceStore::global();
     let traces_was = traces.is_enabled();
@@ -318,12 +225,14 @@ fn tracing_is_bit_identical_and_slow_queries_reach_the_slowlog() {
         assert_eq!(t.get("kind").and_then(Json::as_str), Some("query"));
         assert!(t.get("total_ns").and_then(Json::as_u64).is_some());
         let spans = t.get("spans").and_then(Json::as_arr).unwrap();
-        assert!(
-            spans
-                .iter()
-                .any(|s| s.get("name").and_then(Json::as_str) == Some("engine/algo2")),
-            "compacted-path trace must carry the engine span: {body}"
-        );
+        for span in ["shard/scatter", "shard/gather"] {
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.get("name").and_then(Json::as_str) == Some(span)),
+                "the sharded trace must carry the {span} span: {body}"
+            );
+        }
     }
 
     // Slow threshold zero: the next query is by definition slow — it must
@@ -367,9 +276,7 @@ fn tracing_is_bit_identical_and_slow_queries_reach_the_slowlog() {
     traces.set_slow_threshold(std::time::Duration::MAX);
     traces.set_enabled(traces_was);
 
-    let (status, _) = post(addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    join.join().unwrap();
+    served.shutdown();
     registry.set_enabled(registry_was);
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(wal_path_for(&store_path)).ok();

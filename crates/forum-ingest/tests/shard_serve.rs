@@ -1,153 +1,40 @@
 //! Integration tests for the shard-parallel serving tier: a real
 //! [`forum_shard::PoolServer`] on a real socket, the real
-//! [`forum_ingest::ShardServeApp`] over a real store.
+//! [`forum_ingest::ServeApp`] over a real live store.
 //!
-//! The load-bearing property is the tentpole's acceptance criterion:
-//! the sharded scatter/gather ranking is **bit-identical** to the
-//! sequential single-shard path for any shard count, both over a
-//! freshly-compacted store and with pending delta writes. On top of
-//! that: the production guards (`k` cap, `threshold`, `board` filter),
-//! per-shard readiness including the degraded state, the per-shard
-//! labeled metric families, and the admission-control promise that a
-//! shed request never reaches the scatter path.
+//! The load-bearing property: the sharded scatter/gather ranking is
+//! **bit-identical** to the sequential single-scanner path for any shard
+//! count, both over a freshly-compacted store and with pending delta
+//! writes. On top of that: the production guards (`k` cap, `threshold`,
+//! `board` filter), per-shard readiness including the degraded state, the
+//! per-shard labeled metric families, and the admission-control promise
+//! that a shed request never reaches the scatter path.
 
-use forum_corpus::{Corpus, Domain, GenConfig};
-use forum_ingest::{
-    wal_path_for, IngestConfig, LiveStore, ServeApp, ShardServeApp, ShardServeConfig,
-};
+mod harness;
+
+use forum_ingest::{wal_path_for, ShardServeApp, ShardServeConfig};
 use forum_obs::json::Json;
-use forum_obs::serve::HttpServer;
 use forum_obs::{prometheus, Registry};
 use forum_shard::PoolServer;
-use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection};
+use harness::{bits, build_store, get, http_raw, open_live, post, ranking_of, Served};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn temp_store(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("forum-shard-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    harness::temp_dir("shard-serve").join(name)
 }
 
-fn build_store(path: &std::path::Path, num_posts: usize, seed: u64) {
-    let corpus = Corpus::generate(&GenConfig {
-        domain: Domain::TechSupport,
-        num_posts,
-        seed,
-    });
-    let coll = PostCollection::from_corpus(&corpus);
-    let pipe = IntentPipeline::build(&coll, &PipelineConfig::default());
-    store::save(path, &coll, &pipe).unwrap();
-}
-
-/// One HTTP exchange over a fresh connection; returns the raw response.
-fn http_raw(addr: SocketAddr, raw: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(raw.as_bytes()).unwrap();
-    let mut out = String::new();
-    stream.read_to_string(&mut out).unwrap();
-    out
-}
-
-/// One HTTP exchange; returns (status, body).
-fn http(addr: SocketAddr, raw: &str) -> (u16, String) {
-    let out = http_raw(addr, raw);
-    let status = out
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = out
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    http(addr, &format!("GET {target} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn post(addr: SocketAddr, target: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {target} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-/// Collapses a ranking into comparable-by-`Eq` form (f64 → raw bits).
-fn bits(hits: &[(u32, f64)]) -> Vec<(u32, u64)> {
-    hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
-}
-
-/// The `results` array of a `/query` response as `(doc, score)` pairs.
-fn ranking_of(body: &str) -> Vec<(u32, f64)> {
-    let v = Json::parse(body.trim()).expect("query response must be JSON");
-    v.get("results")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|r| {
-            (
-                r.get("doc").unwrap().as_u64().unwrap() as u32,
-                r.get("score").unwrap().as_f64().unwrap(),
-            )
-        })
-        .collect()
-}
-
-/// Spawns a [`PoolServer`] over a [`ShardServeApp`]; returns the bound
-/// address and the server thread's join handle.
-fn spawn_pool(
-    app: &Arc<ShardServeApp>,
-    configure: impl FnOnce(PoolServer) -> PoolServer,
-) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let server = configure(PoolServer::bind("127.0.0.1:0").unwrap());
-    let addr = server.local_addr().unwrap();
-    app.set_stopper(server.stopper().unwrap());
-    let handler_app = app.clone();
-    let join = std::thread::spawn(move || {
-        server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-            handler_app.handle(req)
-        }))
-    });
-    (addr, join)
-}
-
-/// The tentpole's acceptance criterion: for the same store and the same
-/// queries, every shard count produces the *same bits* as the sequential
-/// single-engine path — before and after a pending delta write.
+/// For the same store and the same queries, every shard count produces
+/// the *same bits* as the sequential single-scanner path
+/// ([`forum_ingest::LiveEpoch::top_k`]) — before and after a pending
+/// delta write.
 #[test]
 fn sharded_ranking_is_bit_identical_for_any_shard_count() {
     let store_path = temp_store("identity.imp");
     build_store(&store_path, 80, 7);
-    let mut live = LiveStore::open(
-        &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
-
-    // Sequential reference: the plain (unsharded) app on the plain
-    // thread-per-connection server, over the same live handle.
-    let reference = ServeApp::new(live.handle(), wal_path_for(&store_path));
-    let ref_server = HttpServer::bind("127.0.0.1:0").unwrap();
-    let ref_addr = ref_server.local_addr().unwrap();
-    reference.set_stopper(ref_server.stopper().unwrap());
-    let handler = reference.clone();
-    let ref_join = std::thread::spawn(move || {
-        ref_server.run(Arc::new(move |req: &forum_obs::serve::Request| {
-            handler.handle(req)
-        }))
-    });
+    let mut live = open_live(&store_path);
 
     let mut sharded = Vec::new();
     for shards in [1usize, 2, 4, 8] {
@@ -159,18 +46,20 @@ fn sharded_ranking_is_bit_identical_for_any_shard_count() {
                 ..ShardServeConfig::default()
             },
         );
-        let (addr, join) = spawn_pool(&app, |s| s);
-        sharded.push((shards, addr, join));
+        sharded.push((shards, Served::spawn(&app)));
     }
 
-    let queries = [0u64, 3, 17, 29, 54];
-    let compare = |label: &str| {
+    let queries = [0u32, 3, 17, 29, 54];
+    let compare = |label: &str, live: &forum_ingest::LiveStore| {
         for &q in &queries {
-            let (status, body) = post(ref_addr, "/query", &format!("{{\"doc\": {q}, \"k\": 5}}"));
-            assert_eq!(status, 200, "{body}");
-            let want = bits(&ranking_of(&body));
-            for (shards, addr, _) in &sharded {
-                let (status, body) = post(*addr, "/query", &format!("{{\"doc\": {q}, \"k\": 5}}"));
+            // Sequential reference: the live epoch's single-scanner loop.
+            let want = bits(&live.current().top_k(q, 5));
+            for (shards, served) in &sharded {
+                let (status, body) = post(
+                    served.addr,
+                    "/query",
+                    &format!("{{\"doc\": {q}, \"k\": 5}}"),
+                );
                 assert_eq!(status, 200, "{body}");
                 let v = Json::parse(body.trim()).unwrap();
                 assert_eq!(v.get("shards").and_then(Json::as_u64), Some(*shards as u64));
@@ -184,29 +73,24 @@ fn sharded_ranking_is_bit_identical_for_any_shard_count() {
         }
     };
 
-    compare("compacted store");
+    compare("compacted store", &live);
 
-    // A pending write moves the epoch: the shard view rebuilds and the
-    // delta scans join the scatter — the bits must still agree.
+    // A pending write moves the epoch: the delta scans join the scatter —
+    // the bits must still agree.
     live.add("my raid controller degrades the whole array performance")
         .unwrap();
     live.add("the kernel driver update broke my wireless adapter again")
         .unwrap();
-    compare("pending delta");
+    compare("pending delta", &live);
 
-    for (_, addr, join) in sharded {
-        let (status, _) = post(addr, "/shutdown", "");
-        assert_eq!(status, 200);
-        join.join().unwrap();
+    for (_, served) in sharded {
+        served.shutdown();
     }
-    let (status, _) = post(ref_addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    ref_join.join().unwrap();
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(wal_path_for(&store_path)).ok();
 }
 
-/// The production guards: `k` is clamped to the configured cap,
+/// The production guards: `k` over the configured cap is refused,
 /// `threshold` is a pure post-merge filter (a prefix of the unfiltered
 /// ranking), `board` threads a document filter into the scans, and the
 /// per-shard labeled families land on `/metrics` and validate.
@@ -214,12 +98,7 @@ fn sharded_ranking_is_bit_identical_for_any_shard_count() {
 fn production_guards_clamp_filter_and_expose_per_shard_metrics() {
     let store_path = temp_store("guards.imp");
     build_store(&store_path, 80, 11);
-    let live = LiveStore::open(
-        &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
+    let live = open_live(&store_path);
 
     // Even docs on "hardware", odd docs on "software".
     let boards: HashMap<u32, String> = (0u32..80)
@@ -244,14 +123,13 @@ fn production_guards_clamp_filter_and_expose_per_shard_metrics() {
             boards: Some(boards),
         },
     );
-    let (addr, join) = spawn_pool(&app, |s| s);
+    let served = Served::spawn(&app);
+    let addr = served.addr;
 
-    // k clamp: a request for an unbounded merge gets the ceiling.
+    // k cap: a request for an unbounded merge is refused, naming the cap.
     let (status, body) = get(addr, "/query?doc=3&k=5000");
-    assert_eq!(status, 200, "{body}");
-    let v = Json::parse(body.trim()).unwrap();
-    assert_eq!(v.get("k").and_then(Json::as_u64), Some(10));
-    assert!(ranking_of(&body).len() <= 10);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("10"), "the refusal must name the cap: {body}");
 
     // threshold: a pure post-merge filter — the surviving list is exactly
     // the prefix of the unfiltered ranking that clears the bar.
@@ -318,9 +196,7 @@ fn production_guards_clamp_filter_and_expose_per_shard_metrics() {
         "{metrics}"
     );
 
-    let (status, _) = post(addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    join.join().unwrap();
+    served.shutdown();
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(wal_path_for(&store_path)).ok();
 }
@@ -331,12 +207,7 @@ fn production_guards_clamp_filter_and_expose_per_shard_metrics() {
 fn readyz_reports_per_shard_degradation() {
     let store_path = temp_store("readyz.imp");
     build_store(&store_path, 40, 13);
-    let live = LiveStore::open(
-        &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
+    let live = open_live(&store_path);
     let app = ShardServeApp::new(
         live.handle(),
         wal_path_for(&store_path),
@@ -345,7 +216,8 @@ fn readyz_reports_per_shard_degradation() {
             ..ShardServeConfig::default()
         },
     );
-    let (addr, join) = spawn_pool(&app, |s| s);
+    let served = Served::spawn(&app);
+    let addr = served.addr;
 
     let state_of = |status: u16, body: &str| -> (u16, String, Vec<bool>) {
         let v = Json::parse(body.trim()).unwrap();
@@ -386,9 +258,7 @@ fn readyz_reports_per_shard_degradation() {
     let (status, body) = get(addr, "/readyz");
     assert_eq!(state_of(status, &body).1, "ready", "{body}");
 
-    let (status, _) = post(addr, "/shutdown", "");
-    assert_eq!(status, 200);
-    join.join().unwrap();
+    served.shutdown();
     std::fs::remove_file(&store_path).ok();
     std::fs::remove_file(wal_path_for(&store_path)).ok();
 }
@@ -406,12 +276,7 @@ fn shed_requests_never_reach_the_scatter_path() {
 
     let store_path = temp_store("shed.imp");
     build_store(&store_path, 40, 17);
-    let live = LiveStore::open(
-        &store_path,
-        PipelineConfig::default(),
-        IngestConfig::default(),
-    )
-    .unwrap();
+    let live = open_live(&store_path);
     let app = ShardServeApp::new(
         live.handle(),
         wal_path_for(&store_path),

@@ -66,6 +66,11 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> Option<ClusterHits> + Sync,
 {
+    // Algorithm 2's k = 0 contract: no results, and no scan at a list
+    // length of zero.
+    if k == 0 {
+        return Ok(ScatterOutcome::default());
+    }
     // Scatter: partition the routed clusters by owning shard, preserving
     // the consultation order inside each shard's work list.
     let scatter_start = Instant::now();
@@ -242,6 +247,9 @@ mod tests {
         let empty = run(4, &[], 5);
         assert!(empty.ranked.is_empty());
         assert_eq!(empty.shards_touched, 0);
+        let k0 = run(4, &route, 0);
+        assert!(k0.ranked.is_empty());
+        assert_eq!((k0.clusters_scanned, k0.shards_touched), (0, 0));
     }
 
     #[test]

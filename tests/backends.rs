@@ -13,11 +13,15 @@
 //!
 //! carry identical document ids and identical score bits.
 //!
-//! Every backend also answers `k = 0` with no results, and a `k` so large
-//! that `2k` would overflow with the same ranking as `k = num_docs`.
+//! Every backend also answers `k = 0` with no results — the serving app's
+//! `/query` too, live and mapped — and a `k` so large that `2k` would
+//! overflow with the same ranking as `k = num_docs`.
 
 use forum_corpus::{Corpus, Domain, GenConfig};
-use forum_ingest::{wal_path_for, IngestConfig, LiveStore, ShardServeApp, ShardServeConfig};
+use forum_ingest::{
+    default_objectives, wal_path_for, Backend, IngestConfig, LiveStore, ServeApp, ShardServeApp,
+    ShardServeConfig,
+};
 use forum_obs::json::Json;
 use forum_obs::serve::Request;
 use intentmatch::pipeline::QueryScratch;
@@ -26,6 +30,7 @@ use intentmatch::{
     StoreView,
 };
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const K: usize = 5;
 
@@ -156,6 +161,24 @@ fn degenerate_k_is_empty_or_everything_on_every_backend() {
         .unwrap();
     let epoch = live.current();
     assert!(epoch.has_pending());
+    let apps = [
+        (
+            "live app",
+            ServeApp::new(
+                live.handle(),
+                wal_path_for(&path),
+                ShardServeConfig::default(),
+            ),
+        ),
+        (
+            "mapped app",
+            ServeApp::with_objectives(
+                Backend::Mapped(Arc::new(StoreView::open(&path).unwrap())),
+                ShardServeConfig::default(),
+                default_objectives(None),
+            ),
+        ),
+    ];
 
     let huge = 1usize << 63;
     for q in 0..n {
@@ -175,6 +198,14 @@ fn degenerate_k_is_empty_or_everything_on_every_backend() {
                 bits(&top_k(huge)),
                 bits(&top_k(num_docs)),
                 "doc {q}: {backend} k = 2^63"
+            );
+        }
+        for (backend, app) in &apps {
+            let resp = app.handle(&query_request(q, 0));
+            assert_eq!(resp.status, 200, "doc {q}: {backend} k = 0 status");
+            assert!(
+                served_ranking(&resp.body).is_empty(),
+                "doc {q}: {backend} k = 0"
             );
         }
     }
