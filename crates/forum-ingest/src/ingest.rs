@@ -380,7 +380,7 @@ impl LiveStore {
                 let id = self.delta.next_id;
                 self.delta.next_id += 1;
                 let dd = self.segment_and_assign(id, text, distance_evals);
-                self.delta.insert_doc(dd);
+                self.delta.insert_doc(&self.base.pipeline, dd);
                 obs.incr("ingest/added", 1);
                 Ok(id)
             }
@@ -400,7 +400,7 @@ impl LiveStore {
                 }
                 self.delta.supersede(id);
                 let dd = self.segment_and_assign(id, text, distance_evals);
-                self.delta.insert_doc(dd);
+                self.delta.insert_doc(&self.base.pipeline, dd);
                 obs.incr("ingest/updated", 1);
                 Ok(id)
             }

@@ -10,15 +10,13 @@
 //! collection + pipeline, shared by `Arc` across epochs) plus a **delta**:
 //! documents ingested since the last compaction, their per-cluster
 //! [`DeltaIndex`] units, and tombstones for deletions and updates. The
-//! query path ([`LiveEpoch::query`]) is one more backend of the offline
+//! query path ([`LiveEpoch::top_k`]) is one more backend of the offline
 //! engine's Algorithm 2 ([`intentmatch::pipeline::run_algo2`]): its base
 //! side runs the shared per-cluster step, then merges the delta — so an
 //! epoch with an empty delta is bit-identical to
 //! [`intentmatch::QueryEngine`] over the base.
 
 use forum_index::{DeltaIndex, ScanCosts, ScoreScratch};
-use forum_obs::Trace;
-use intentmatch::engine::scan_to_trace_costs;
 use intentmatch::par::WorkerPanic;
 use intentmatch::pipeline::{
     query_cluster_groups, ranges_terms, run_algo2, scan_cluster, QueryScratch, RefinedSegment,
@@ -26,7 +24,7 @@ use intentmatch::pipeline::{
 };
 use intentmatch::{IntentPipeline, PostCollection};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// The last compacted state: what `intentmatch::store` persists.
@@ -156,10 +154,13 @@ impl DeltaState {
     }
 
     /// Inserts a processed document (a fresh add, or the new version of an
-    /// updated one) and appends its units to the per-cluster deltas.
-    pub(crate) fn insert_doc(&mut self, dd: DeltaDoc) {
+    /// updated one) and appends its units to the per-cluster deltas, each
+    /// resolved against its cluster's index in `base`, the pipeline this
+    /// delta applies to.
+    pub(crate) fn insert_doc(&mut self, base: &IntentPipeline, dd: DeltaDoc) {
         for (seg, terms) in dd.refined.iter().zip(&dd.terms) {
-            self.deltas[seg.cluster].push_unit(dd.id, terms);
+            let index = &base.clusters[seg.cluster].index;
+            self.deltas[seg.cluster].push_unit(index, dd.id, terms);
         }
         let pos = self
             .docs
@@ -297,78 +298,42 @@ impl LiveEpoch {
         )
     }
 
-    /// The top-k documents related to live document `q` (Algorithm 2 with
-    /// the paper's `n = 2k`): [`Self::query`] without a trace.
-    pub fn top_k(&self, q: u32, k: usize) -> Vec<(u32, f64)> {
-        self.query(q, k, None)
-    }
-
-    /// Algorithm 1 + 2 over base and delta: the runner
+    /// The top-k documents related to live document `q`: Algorithm 1 + 2
+    /// over base and delta, with the paper's `n = 2k`. This is the runner
     /// ([`intentmatch::pipeline::run_algo2`]) over `q`'s cluster groups,
     /// with [`Self::scan_cluster_filtered`] as the step.
-    ///
-    /// With `trace`, records `live/base_scan` and `live/delta_scan` spans
-    /// — each span's duration is the wall time *accumulated* across every
-    /// consulted cluster (the base side's includes the cluster weight),
-    /// and its costs are the summed scan-work counters for that side of
-    /// the merge. Scores are bit-identical with or without a trace: the
-    /// counters ride out-of-band next to the exact same float operations.
-    pub fn query(&self, q: u32, k: usize, trace: Option<&mut Trace>) -> Vec<(u32, f64)> {
+    pub fn top_k(&self, q: u32, k: usize) -> Vec<(u32, f64)> {
         forum_obs::Registry::global().incr("ingest/live_queries", 1);
         let Some(groups) = self.query_groups(q) else {
             return Vec::new();
         };
-        let timing = trace.is_some();
-        // The runner's step is `Fn + Sync` (it may run on workers); this
-        // path runs it inline, so the tally's lock is never contended.
-        #[derive(Default)]
-        struct Tally {
-            clusters_routed: u64,
-            base_ns: u64,
-            delta_ns: u64,
-            delta_costs: ScanCosts,
-        }
-        let tally = Mutex::new(Tally::default());
         let mut scratch = QueryScratch::new();
-        let out = run_algo2(
+        run_algo2(
             &groups,
             k,
             None,
             1,
             &mut scratch,
             |(cluster, terms), n, s| {
-                let mut tally = tally.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut delta_costs = ScanCosts::default();
                 let scan = self.scan_cluster_filtered(
                     *cluster,
                     terms,
                     q,
                     n,
                     None,
-                    timing,
+                    false,
                     s,
-                    &mut tally.delta_costs,
+                    &mut delta_costs,
                 );
-                Ok(scan.map(|scan| {
-                    tally.clusters_routed += 1;
-                    tally.base_ns += scan.base_ns;
-                    tally.delta_ns += scan.delta_ns;
-                    scan.merged
-                }))
+                Ok(scan.map(|scan| scan.merged))
             },
         )
-        .unwrap_or_else(|e: WorkerPanic| panic!("{e}"));
-        if let Some(t) = trace {
-            let tally = tally.into_inner().unwrap_or_else(PoisonError::into_inner);
-            let base_costs = scan_to_trace_costs(scratch.take_costs(), tally.clusters_routed);
-            t.push_span_ns("live/base_scan", 0, tally.base_ns, base_costs);
-            let delta_costs = scan_to_trace_costs(tally.delta_costs, 0);
-            t.push_span_ns("live/delta_scan", 0, tally.delta_ns, delta_costs);
-        }
-        out
+        .unwrap_or_else(|e: WorkerPanic| panic!("{e}"))
     }
 
     /// One consulted cluster's merged base + delta scan for query `q` —
-    /// the step [`LiveEpoch::query`] hands Algorithm 2's runner, public
+    /// the step [`LiveEpoch::top_k`] hands Algorithm 2's runner, public
     /// so the shard-parallel serving tier runs *this exact code* per
     /// shard: sharded results are bit-identical to the single-scanner loop
     /// by construction, not by re-implementation.

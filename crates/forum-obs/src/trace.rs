@@ -93,7 +93,7 @@ impl TraceCosts {
 /// One timed phase of a trace, with its cost counters.
 #[derive(Debug, Clone)]
 pub struct TraceSpan {
-    /// Phase name, e.g. `engine/algo2` or `live/delta_scan`.
+    /// Phase name, e.g. `engine/algo2` or `shard/gather`.
     pub name: String,
     /// Offset from the trace's start, in nanoseconds.
     pub start_ns: u64,

@@ -151,7 +151,7 @@ where
     if let Some(t) = trace {
         for s in &shard_scans {
             // Accumulated-phase convention: start offset 0, measured
-            // duration (matches live/base_scan and friends).
+            // duration.
             t.push_span_ns(&format!("shard/{}/scan", s.shard), 0, s.dur_ns, s.costs);
         }
         t.push_span("shard/gather", gather_start, TraceCosts::default());

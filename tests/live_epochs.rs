@@ -74,7 +74,7 @@ fn answers(epoch: &LiveEpoch, docs: impl IntoIterator<Item = u32>) -> Answers {
 }
 
 /// A delta unit's owner, term frequencies and `log_tf_sum` bits.
-type UnitBits = (u32, Vec<(String, u32)>, u64);
+type UnitBits = (u32, Vec<(forum_text::TermId, u32)>, u64);
 
 /// Base posts sampled across the id range, plus every pending one.
 fn sampled(epoch: &LiveEpoch) -> Vec<u32> {
