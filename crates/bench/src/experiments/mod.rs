@@ -4,7 +4,6 @@ pub mod ablations;
 pub mod cluster_scale;
 pub mod cm_vs_terms;
 pub mod datasets;
-pub mod early_term;
 pub mod fig11;
 pub mod fig3;
 pub mod fig7;

@@ -18,7 +18,6 @@
 //!   serve_scale       sharded pool under open-loop load: p50/p99 vs offered QPS
 //!   cluster_scale     exact vs norm-pruned vs parallel DBSCAN at 10k-200k points
 //!   store_scale       cold start, heap hydration vs mapped view, 10k-200k segments
-//!   early_term        impact-ordered early termination vs exhaustive scans + TA smoke
 //!   ingest_throughput live WAL-durable adds + compaction vs full rebuild
 //!   ablate_top_n      Algorithm 2's n = 2k heuristic
 //!   ablate_refinement segmentation refinement on/off
@@ -49,7 +48,7 @@ fn main() {
              [--metrics-out P.jsonl] <experiment>..."
         );
         eprintln!("experiments: table2 fig7 exp_cm_vs_terms fig8 fig9 fig3 table3 table4");
-        eprintln!("             table6 fig11 qps serve_scale cluster_scale store_scale early_term");
+        eprintln!("             table6 fig11 qps serve_scale cluster_scale store_scale");
         eprintln!("             ingest_throughput");
         eprintln!("             ablate_top_n");
         eprintln!("             ablate_refinement");
@@ -90,7 +89,6 @@ fn run(cmd: &str, opts: &Options) {
         "serve_scale" => experiments::serve_scale::run(opts),
         "cluster_scale" => experiments::cluster_scale::run(opts),
         "store_scale" => experiments::store_scale::run(opts),
-        "early_term" => experiments::early_term::run(opts),
         "ingest_throughput" => experiments::ingest::run(opts),
         "ablate_top_n" => experiments::ablations::top_n(opts),
         "ablate_refinement" => experiments::ablations::refinement(opts),

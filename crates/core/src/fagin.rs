@@ -21,7 +21,7 @@ use crate::engine::scan_to_trace_costs;
 use crate::pipeline::{query_cluster_groups, ClusterIndex, IntentPipeline, RefinedSegment};
 use forum_index::{ScanCosts, ScoreScratch, SegmentIndex, WeightingScheme};
 use forum_obs::Trace;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 /// One intention's contribution for a given query: its weight, an *exact
@@ -66,11 +66,13 @@ impl IntentionList<'_> {
                 .max(16)
                 .saturating_mul(2)
                 .max(depth.saturating_add(1));
-            let hits = self.index.top_owners_with_scratch(
+            let hits = self.index.top_owners_excluding_filtered(
                 &self.query,
                 want,
                 scheme,
                 Some(exclude),
+                &HashSet::new(),
+                None,
                 scratch,
             );
             self.exhausted = hits.len() < want;
@@ -140,8 +142,15 @@ fn intention_lists<'a>(
         // Exact top-`initial` per-owner prefix, sorted descending. Owner
         // aggregation keeps each document's best unit, so `by_doc` has
         // exactly one entry per document.
-        let sorted: Vec<(u32, f64)> =
-            index.top_owners_with_scratch(&query, initial, scheme, Some(q as u32), &mut scratch);
+        let sorted: Vec<(u32, f64)> = index.top_owners_excluding_filtered(
+            &query,
+            initial,
+            scheme,
+            Some(q as u32),
+            &HashSet::new(),
+            None,
+            &mut scratch,
+        );
         let exhausted = sorted.len() < initial;
         let by_doc = sorted.iter().copied().collect();
         lists.push(IntentionList {
@@ -219,7 +228,7 @@ pub fn exact_top_k_traced(
 
     let mut round_scratch = ScoreScratch::new();
     let mut best: Vec<(u32, f64)> = Vec::new(); // kept sorted descending
-    let mut seen: std::collections::HashSet<u32> = Default::default();
+    let mut seen: HashSet<u32> = HashSet::new();
     let mut depth = 0usize;
     loop {
         // A prefix that ran out while the underlying list still has owners

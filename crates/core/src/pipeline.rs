@@ -399,61 +399,6 @@ impl IntentPipeline {
         .unwrap_or_else(|e: WorkerPanic| panic!("{e}"))
     }
 
-    /// Incrementally adds a new post to the collection and the built
-    /// pipeline: parses and annotates it, segments it, assigns its segments
-    /// to the nearest existing intention clusters, and appends the refined
-    /// segments to the per-cluster indices. Returns the new document id.
-    ///
-    /// Cluster centroids are intentionally left unchanged — the paper's
-    /// position (Section 9.2) is that grouping is cheap enough to re-run
-    /// periodically, and that intentions drift very little over time (their
-    /// two-consecutive-years StackOverflow comparison; reproduced by the
-    /// `exp_drift` experiment).
-    pub fn add_post(
-        &mut self,
-        collection: &mut PostCollection,
-        cfg: &PipelineConfig,
-        raw_text: &str,
-    ) -> forum_text::document::DocId {
-        let obs = Registry::global();
-        let timer = obs.is_enabled().then(std::time::Instant::now);
-        let id = forum_text::document::DocId(collection.len() as u32);
-        let doc = forum_text::Document::parse(id, raw_text);
-        let cmdoc = forum_segment::CmDoc::new(doc);
-        let seg = if cmdoc.num_units() == 0 {
-            Segmentation::single(1)
-        } else {
-            cfg.strategy.run(&cmdoc)
-        };
-        let whole = cmdoc.whole();
-
-        let refined = if cmdoc.num_units() == 0 {
-            Vec::new()
-        } else {
-            refine_assigned(seg.segments().into_iter().map(|s| {
-                let mut f = forum_cluster::segment_features(&cmdoc.segment_tables(s), &whole);
-                if cfg.type1_weights_only {
-                    f.truncate(forum_nlp::cm::NUM_FEATURES);
-                }
-                (nearest_centroid(&f, &self.centroids), (s.first, s.end))
-            }))
-        };
-
-        collection.docs.push(cmdoc);
-        let d = collection.len() - 1;
-        for s in &refined {
-            let terms = segment_terms(collection, d, s);
-            self.clusters[s.cluster].index.append_unit(d as u32, &terms);
-        }
-        self.raw_segmentations.push(seg);
-        self.doc_segments.push(refined);
-        obs.incr("offline/posts_added", 1);
-        if let Some(t) = timer {
-            obs.record_duration("offline/add_post_ns", t.elapsed());
-        }
-        id
-    }
-
     /// Histogram of segments-per-post for Table 3: `hist[i]` = number of
     /// posts with `i+1` segments (posts with more than `max` segments land
     /// in the last bucket). `refined` selects before/after grouping.
@@ -627,25 +572,16 @@ pub fn scan_cluster(
     let obs = Registry::global();
     let timer = obs.is_enabled().then(Instant::now);
     let query = SegmentIndex::query_from_terms(terms);
-    let hits = match spec.tombstones {
-        Some(tombstones) => index.top_owners_excluding_filtered(
-            &query,
-            spec.n,
-            spec.scheme,
-            spec.exclude,
-            tombstones,
-            spec.filter,
-            scratch,
-        ),
-        None => index.top_owners_filtered(
-            &query,
-            spec.n,
-            spec.scheme,
-            spec.exclude,
-            spec.filter,
-            scratch,
-        ),
-    };
+    let no_tombstones = HashSet::new();
+    let hits = index.top_owners_excluding_filtered(
+        &query,
+        spec.n,
+        spec.scheme,
+        spec.exclude,
+        spec.tombstones.unwrap_or(&no_tombstones),
+        spec.filter,
+        scratch,
+    );
     if let Some(t) = timer {
         obs.incr("online/algo1_scans", 1);
         obs.record_duration("online/algo1_ns", t.elapsed());
@@ -1191,29 +1127,6 @@ mod tests {
         assert!(pipe
             .match_new_post(&PipelineConfig::default(), "", 5)
             .is_empty());
-    }
-
-    #[test]
-    fn add_post_extends_pipeline_consistently() {
-        let (_, mut coll, mut pipe) = build_small(120, 13);
-        let before = coll.len();
-        let text = "My HP Pavilion runs Linux and has a wireless card. \
-            The connection drops every hour. I reinstalled the wireless driver. \
-            Is the wireless card compatible with Linux?";
-        let id = pipe.add_post(&mut coll, &PipelineConfig::default(), text);
-        assert_eq!(id.as_usize(), before);
-        assert_eq!(coll.len(), before + 1);
-        assert_eq!(pipe.doc_segments.len(), before + 1);
-        assert!(!pipe.doc_segments[before].is_empty());
-        // The new post is retrievable: querying it returns results, and it
-        // can appear in other posts' results.
-        let hits = pipe.top_k(&coll, before, 5);
-        assert!(!hits.is_empty());
-        assert!(hits.iter().all(|&(d, _)| (d as usize) != before));
-        // Adding the same text again makes the first copy its top match.
-        let id2 = pipe.add_post(&mut coll, &PipelineConfig::default(), text);
-        let hits2 = pipe.top_k(&coll, id2.as_usize(), 5);
-        assert_eq!(hits2.first().map(|&(d, _)| d as usize), Some(before));
     }
 
     #[test]

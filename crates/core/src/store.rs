@@ -487,18 +487,4 @@ mod tests {
         assert_eq!(pipe2.top_k(&coll2, 3, 5), pipe.top_k(&coll, 3, 5));
         std::fs::remove_file(&path).ok();
     }
-
-    #[test]
-    fn loaded_pipeline_supports_incremental_updates() {
-        let (coll, pipe) = built();
-        let bytes = encode(&coll, &pipe);
-        let (mut coll2, mut pipe2) = decode(&bytes).expect("decode");
-        let id = pipe2.add_post(
-            &mut coll2,
-            &PipelineConfig::default(),
-            "My HP printer jams on every page. How can I fix the paper tray?",
-        );
-        assert_eq!(id.as_usize(), coll.len());
-        assert!(!pipe2.top_k(&coll2, id.as_usize(), 5).is_empty());
-    }
 }

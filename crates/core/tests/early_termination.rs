@@ -12,6 +12,7 @@ use forum_index::{ScoreScratch, SegmentIndex};
 use intentmatch::pipeline::{segment_terms, PipelineConfig};
 use intentmatch::{IntentPipeline, PostCollection};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn build(num_posts: usize, seed: u64, eps: f64) -> (PostCollection, IntentPipeline) {
     let corpus = Corpus::generate(&GenConfig {
@@ -46,13 +47,25 @@ fn assert_pruned_matches_exhaustive(
             }
             let query = SegmentIndex::query_from_terms(&terms);
             let index = &pipe.clusters[seg.cluster].index;
-            assert!(index.has_impacts(), "cluster index lost its impact sidecar");
             for &n in depths {
-                let pruned =
-                    index.top_owners_with_scratch(&query, n, scheme, Some(q as u32), &mut scratch);
+                let pruned = index.top_owners_excluding_filtered(
+                    &query,
+                    n,
+                    scheme,
+                    Some(q as u32),
+                    &HashSet::new(),
+                    None,
+                    &mut scratch,
+                );
                 let pruned_costs = scratch.costs.take();
-                let exhaustive =
-                    index.top_owners_exhaustive(&query, n, scheme, Some(q as u32), &mut scratch);
+                let exhaustive = index.top_owners_exhaustive(
+                    &query,
+                    n,
+                    scheme,
+                    Some(q as u32),
+                    None,
+                    &mut scratch,
+                );
                 let exhaustive_costs = scratch.costs.take();
                 assert_eq!(
                     pruned, exhaustive,

@@ -20,11 +20,11 @@
 //! denominator is fixed. A query then matches units by integer id.
 //!
 //! Tombstones (deleted or superseded documents) are handled on the read
-//! path: [`SegmentIndex::top_owners_excluding`] over-fetches by the
-//! tombstone count and filters, which returns exactly the top-n *live*
-//! owners without touching the frozen postings.
+//! path: [`SegmentIndex::top_owners_excluding_filtered`] treats a
+//! tombstoned owner as invisible inside the scan, which returns exactly
+//! the top-n *live* owners without touching the frozen postings.
 
-use crate::index::{DocFilter, ScanCosts, ScoreScratch, SegmentIndex, WeightingScheme};
+use crate::index::{DocFilter, ScanCosts, SegmentIndex};
 use crate::weighting::{length_normalization, log_tf, probabilistic_idf};
 use forum_text::TermId;
 use std::collections::HashSet;
@@ -148,7 +148,7 @@ impl DeltaIndex {
     /// posting, each floor-skipped unit as an early exit, and each
     /// excluded, hidden or zero-scoring unit as pruned.
     ///
-    /// Only [`WeightingScheme::PaperTfIdf`] is supported on the delta path
+    /// Only [`crate::WeightingScheme::PaperTfIdf`] is supported on the delta path
     /// (BM25 needs a global average unit length that the frozen base can't
     /// provide for mixed scoring); other schemes fall back to the paper
     /// formula.
@@ -241,78 +241,10 @@ fn fold_owners(hits: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
         .collect()
 }
 
-impl SegmentIndex {
-    /// [`SegmentIndex::top_owners_with_scratch`] with a *set* of excluded
-    /// owners (tombstoned documents) on top of the query's own owner: the
-    /// scan over-fetches by `tombstones.len()` and filters, which yields
-    /// exactly the top-`n` live owners — a tombstoned owner can only
-    /// occupy a slot, never change another owner's score.
-    pub fn top_owners_excluding(
-        &self,
-        query: &[(String, u32)],
-        n: usize,
-        scheme: WeightingScheme,
-        exclude_owner: Option<u32>,
-        tombstones: &HashSet<u32>,
-        scratch: &mut ScoreScratch,
-    ) -> Vec<(u32, f64)> {
-        self.top_owners_excluding_filtered(
-            query,
-            n,
-            scheme,
-            exclude_owner,
-            tombstones,
-            None,
-            scratch,
-        )
-    }
-
-    /// [`SegmentIndex::top_owners_excluding`] with a per-document
-    /// visibility [`DocFilter`] threaded into the underlying scan. The
-    /// filter is exact *inside* the scan (hidden owners never take a
-    /// slot), so only tombstones need the over-fetch treatment.
-    #[allow(clippy::too_many_arguments)]
-    pub fn top_owners_excluding_filtered(
-        &self,
-        query: &[(String, u32)],
-        n: usize,
-        scheme: WeightingScheme,
-        exclude_owner: Option<u32>,
-        tombstones: &HashSet<u32>,
-        filter: Option<DocFilter>,
-        scratch: &mut ScoreScratch,
-    ) -> Vec<(u32, f64)> {
-        if tombstones.is_empty() {
-            return self.top_owners_filtered(query, n, scheme, exclude_owner, filter, scratch);
-        }
-        let mut over = n.saturating_add(tombstones.len());
-        loop {
-            let mut hits =
-                self.top_owners_filtered(query, over, scheme, exclude_owner, filter, scratch);
-            // Fewer hits than requested means the scan ran dry: there are
-            // no further positive-scoring owners to fetch.
-            let exhausted = hits.len() < over;
-            let before = hits.len();
-            hits.retain(|(o, _)| !tombstones.contains(o));
-            scratch.costs.candidates_pruned += (before - hits.len()) as u64;
-            if hits.len() >= n || exhausted {
-                hits.truncate(n);
-                return hits;
-            }
-            // Every returned owner is distinct and `tombstones` is a set,
-            // so at most `tombstones.len()` hits can ever be filtered and
-            // one fetch of `n + len` should always suffice; this retry
-            // keeps the read path returning the full page even if the
-            // underlying selection ever under-delivers.
-            over = over.saturating_mul(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexBuilder;
+    use crate::index::{IndexBuilder, ScoreScratch, WeightingScheme};
 
     fn terms(words: &[&str]) -> Vec<String> {
         words.iter().map(|w| w.to_string()).collect()
@@ -551,36 +483,45 @@ mod tests {
         assert_eq!(hits.iter().map(|&(o, _)| o).collect::<Vec<_>>(), vec![7]);
     }
 
+    /// The base owner scan with tombstones and no filter.
+    fn base_scan(
+        idx: &SegmentIndex,
+        query: &[(String, u32)],
+        n: usize,
+        exclude_owner: Option<u32>,
+        tombstones: &HashSet<u32>,
+    ) -> Vec<(u32, f64)> {
+        idx.top_owners_excluding_filtered(
+            query,
+            n,
+            WeightingScheme::PaperTfIdf,
+            exclude_owner,
+            tombstones,
+            None,
+            &mut ScoreScratch::new(),
+        )
+    }
+
     #[test]
     fn tombstone_filtering_matches_an_index_without_the_owner() {
         // Tombstoning owner 3 must return the same owners, in the same
-        // order with the same scores, as scanning with owner 3 skipped —
-        // over-fetch + filter is exact.
+        // order with the same scores, as scanning with owner 3 skipped.
         let idx = base();
         let query = SegmentIndex::query_from_terms(&terms(&["raid", "boot", "disk"]));
-        let mut scratch = ScoreScratch::new();
         let tomb = HashSet::from([3u32]);
-        let filtered = idx.top_owners_excluding(
-            &query,
-            2,
-            WeightingScheme::PaperTfIdf,
-            None,
-            &tomb,
-            &mut scratch,
-        );
-        let all = idx.top_owners_with(&query, 10, WeightingScheme::PaperTfIdf, None);
+        let filtered = base_scan(&idx, &query, 2, None, &tomb);
+        let all = base_scan(&idx, &query, 10, None, &HashSet::new());
         let expected: Vec<(u32, f64)> = all.into_iter().filter(|&(o, _)| o != 3).take(2).collect();
         assert_eq!(filtered, expected);
         assert!(filtered.iter().all(|&(o, _)| o != 3));
     }
 
     #[test]
-    fn overfetch_page_survives_mass_tombstoning() {
-        // Regression for the over-fetch edge: tombstone every one of the
-        // best-scoring owners so the entire natural first page is
-        // excluded, and require the full n eligible owners that remain to
-        // be returned — with exactly the scores an exclusion-aware oracle
-        // assigns them.
+    fn page_survives_mass_tombstoning() {
+        // Tombstone every one of the best-scoring owners so the entire
+        // natural first page is excluded, and require the full n eligible
+        // owners that remain to be returned — with exactly the scores an
+        // exclusion-aware oracle assigns them.
         let mut b = IndexBuilder::new();
         for owner in 0..30u32 {
             // Lower owners score higher ("raid" repeated more).
@@ -596,21 +537,13 @@ mod tests {
         let idx = b.build();
         let query = SegmentIndex::query_from_terms(&terms(&["raid"]));
         let tomb: HashSet<u32> = (0..25).collect();
-        let mut scratch = ScoreScratch::new();
-        let hits = idx.top_owners_excluding(
-            &query,
-            3,
-            WeightingScheme::PaperTfIdf,
-            None,
-            &tomb,
-            &mut scratch,
-        );
+        let hits = base_scan(&idx, &query, 3, None, &tomb);
         assert_eq!(hits.len(), 3, "eligible owners remain, page must fill");
         assert_eq!(
             hits.iter().map(|&(o, _)| o).collect::<Vec<_>>(),
             vec![25, 26, 27]
         );
-        let all = idx.top_owners_with(&query, 40, WeightingScheme::PaperTfIdf, None);
+        let all = base_scan(&idx, &query, 40, None, &HashSet::new());
         let expected: Vec<(u32, f64)> = all
             .into_iter()
             .filter(|(o, _)| !tomb.contains(o))
@@ -710,7 +643,6 @@ mod tests {
         let query = SegmentIndex::query_from_terms(&terms(&["raid", "boot", "disk"]));
         let tomb = HashSet::from([3u32]);
         let visible = |owner: u32| owner != 0;
-        let mut scratch = ScoreScratch::new();
         let hits = idx.top_owners_excluding_filtered(
             &query,
             2,
@@ -718,31 +650,14 @@ mod tests {
             None,
             &tomb,
             Some(&visible),
-            &mut scratch,
+            &mut ScoreScratch::new(),
         );
-        let all = idx.top_owners_with(&query, 10, WeightingScheme::PaperTfIdf, None);
+        let all = base_scan(&idx, &query, 10, None, &HashSet::new());
         let expected: Vec<(u32, f64)> = all
             .into_iter()
             .filter(|&(o, _)| o != 3 && visible(o))
             .take(2)
             .collect();
         assert_eq!(hits, expected);
-    }
-
-    #[test]
-    fn empty_tombstones_fall_through_unchanged() {
-        let idx = base();
-        let query = SegmentIndex::query_from_terms(&terms(&["raid"]));
-        let mut scratch = ScoreScratch::new();
-        let a = idx.top_owners_excluding(
-            &query,
-            5,
-            WeightingScheme::PaperTfIdf,
-            Some(1),
-            &HashSet::new(),
-            &mut scratch,
-        );
-        let b = idx.top_owners_with(&query, 5, WeightingScheme::PaperTfIdf, Some(1));
-        assert_eq!(a, b);
     }
 }

@@ -402,7 +402,18 @@ mod tests {
         let buf = aligned(&bytes);
         let rebuilt = view_of(&buf, bytes.len()).materialize().expect("flat");
         let query = SegmentIndex::query_from_terms(&["raid".into(), "disk".into()]);
-        assert_eq!(index.top_n(&query, 10), rebuilt.top_n(&query, 10));
+        let scan = |idx: &SegmentIndex| {
+            idx.top_owners_excluding_filtered(
+                &query,
+                10,
+                crate::WeightingScheme::PaperTfIdf,
+                None,
+                &std::collections::HashSet::new(),
+                None,
+                &mut crate::ScoreScratch::new(),
+            )
+        };
+        assert_eq!(scan(&index), scan(&rebuilt));
     }
 
     #[test]

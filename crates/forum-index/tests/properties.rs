@@ -1,8 +1,9 @@
 //! Property-based tests for the index and weighting invariants.
 
 use forum_index::weighting::{length_normalization, log_tf, probabilistic_idf};
-use forum_index::{IndexBuilder, SegmentIndex, UnitId};
+use forum_index::{DocFilter, IndexBuilder, ScoreScratch, SegmentIndex, UnitId, WeightingScheme};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn arb_unit_terms() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-e]{1,3}", 0..12)
@@ -43,9 +44,9 @@ proptest! {
         }
     }
 
-    /// Index invariants: weights are finite and non-negative; top-n scores
-    /// are sorted, positive, bounded by n, and never return the unit's own
-    /// score for terms it lacks.
+    /// Index invariants: weights are finite and non-negative; the owner
+    /// scan's scores are sorted, positive, bounded by n, and name only
+    /// indexed owners.
     #[test]
     fn index_invariants(
         units in proptest::collection::vec(arb_unit_terms(), 1..20),
@@ -67,21 +68,30 @@ proptest! {
         }
 
         let q = SegmentIndex::query_from_terms(&query);
-        let hits = index.top_n(&q, n);
+        let hits = index.top_owners_excluding_filtered(
+            &q,
+            n,
+            WeightingScheme::PaperTfIdf,
+            None,
+            &HashSet::new(),
+            None,
+            &mut ScoreScratch::new(),
+        );
         prop_assert!(hits.len() <= n);
         for w in hits.windows(2) {
             prop_assert!(w[0].1 >= w[1].1);
         }
-        for (unit, score) in &hits {
+        for (owner, score) in &hits {
             prop_assert!(score.is_finite() && *score > 0.0);
-            prop_assert!(unit.as_usize() < units.len());
+            prop_assert!((*owner as usize) < units.len());
         }
     }
 
-    /// The bounded-heap selection over reusable scratch accumulators is
-    /// bit-identical — order, scores, tie-breaks — to the collect-then-sort
-    /// reference, for both weighting schemes and any n (including n larger
-    /// than the number of scoring units).
+    /// With one unit per owner (unit id = owner id), the owner scan over
+    /// reusable scratch accumulators is bit-identical — order, scores,
+    /// tie-breaks — to the collect-then-sort unit reference, for both
+    /// weighting schemes and any n (including n larger than the number of
+    /// scoring units).
     #[test]
     fn heap_top_n_matches_reference(
         units in proptest::collection::vec(arb_unit_terms(), 1..24),
@@ -90,9 +100,9 @@ proptest! {
         bm25 in 0u32..2,
     ) {
         let scheme = if bm25 == 1 {
-            forum_index::WeightingScheme::Bm25 { k1: 1.2, b: 0.75 }
+            WeightingScheme::Bm25 { k1: 1.2, b: 0.75 }
         } else {
-            forum_index::WeightingScheme::PaperTfIdf
+            WeightingScheme::PaperTfIdf
         };
         let mut builder = IndexBuilder::new();
         for (i, terms) in units.iter().enumerate() {
@@ -101,43 +111,73 @@ proptest! {
         let index = builder.build();
         // One reused scratch across several queries: reuse must not leak
         // state between queries.
-        let mut scratch = forum_index::ScoreScratch::new();
+        let mut scratch = ScoreScratch::new();
         for query in &queries {
             let q = SegmentIndex::query_from_terms(query);
-            let got = index.top_n_with_scratch(&q, n, scheme, &mut scratch);
-            let want = index.top_n_reference(&q, n, scheme);
+            let got = index.top_owners_excluding_filtered(
+                &q,
+                n,
+                scheme,
+                None,
+                &HashSet::new(),
+                None,
+                &mut scratch,
+            );
+            let want: Vec<(u32, f64)> = index
+                .top_n_reference(&q, n, scheme)
+                .into_iter()
+                .map(|(unit, s)| (index.owner(unit), s))
+                .collect();
             prop_assert_eq!(&got, &want, "n={}, scheme={:?}", n, scheme);
         }
     }
 
-    /// Owner aggregation returns n distinct owners, each scored by the max
-    /// over its units, excluding the requested owner — equivalent to
-    /// aggregating the full reference ranking by hand.
+    /// Owner aggregation returns n distinct visible owners, each scored by
+    /// the max over its units, with the requested owner excluded, the
+    /// tombstoned owners dropped and the filter applied inside the scan —
+    /// equivalent to aggregating the full reference ranking by hand.
     #[test]
     fn top_owners_matches_manual_aggregation(
         units in proptest::collection::vec(arb_unit_terms(), 1..24),
         query in arb_unit_terms(),
         n in 1usize..10,
         exclude_sel in 0u32..4,
+        tombs in proptest::collection::vec(0u32..5, 0..3),
+        hide_sel in 0u32..6,
     ) {
         // 0..3 → exclude that owner; 3 → no exclusion.
         let exclude = (exclude_sel < 3).then_some(exclude_sel);
-        let scheme = forum_index::WeightingScheme::PaperTfIdf;
+        let tombstones: HashSet<u32> = tombs.into_iter().collect();
+        // 0..5 → hide that owner; 5 → no filter.
+        let hide = move |owner: u32| owner != hide_sel;
+        let filter: Option<DocFilter> = (hide_sel < 5).then_some(&hide as DocFilter);
+        let scheme = WeightingScheme::PaperTfIdf;
         let mut builder = IndexBuilder::new();
         for (i, terms) in units.iter().enumerate() {
             // Few owners, many units each: exercises dedup heavily.
-            builder.add_unit(i as u32 % 3, terms);
+            builder.add_unit(i as u32 % 5, terms);
         }
         let index = builder.build();
         let q = SegmentIndex::query_from_terms(&query);
-        let got = index.top_owners_with(&q, n, scheme, exclude);
+        let got = index.top_owners_excluding_filtered(
+            &q,
+            n,
+            scheme,
+            exclude,
+            &tombstones,
+            filter,
+            &mut ScoreScratch::new(),
+        );
 
         // Manual reference: full unit ranking → per-owner max → sort by
         // (score desc, owner asc) → truncate.
         let mut best: std::collections::HashMap<u32, f64> = Default::default();
         for (unit, score) in index.top_n_reference(&q, usize::MAX, scheme) {
             let owner = index.owner(unit);
-            if Some(owner) == exclude {
+            if Some(owner) == exclude
+                || tombstones.contains(&owner)
+                || filter.is_some_and(|f| !f(owner))
+            {
                 continue;
             }
             let e = best.entry(owner).or_insert(f64::MIN);
@@ -161,6 +201,7 @@ proptest! {
         if let Some(x) = exclude {
             prop_assert!(got.iter().all(|&(o, _)| o != x));
         }
+        prop_assert!(got.iter().all(|(o, _)| !tombstones.contains(o)));
     }
 
     /// The same term can weigh differently in different indices built from

@@ -11,7 +11,7 @@
 //! intentmatch query   store.imp --batch 0-99  many queries, in parallel
 //! intentmatch ingest  store.imp posts.txt     WAL-durable live adds
 //! intentmatch compact store.imp               fold the WAL into the snapshot
-//! intentmatch add     store.imp posts.txt     append posts + full resave
+//! intentmatch add     store.imp posts.txt     ingest + compact in one step
 //! intentmatch stats   store.imp               collection & cluster summary
 //! intentmatch serve   store.imp --addr H:P    live HTTP queries + telemetry
 //! intentmatch migrate store.imp               rewrite in the v2 mapped layout
@@ -32,12 +32,13 @@
 //! accepts the same spelling and parallelises the offline build's
 //! clustering phase; labels are bit-identical for every thread count.
 //!
-//! `ingest` differs from `add` in durability and cost: `add` reprocesses
-//! and atomically rewrites the whole snapshot per invocation, while
 //! `ingest` appends fsync'd records to `<store>.wal` and serves them from
-//! delta indices — `query` and `stats` replay the WAL automatically, and
-//! `compact` folds it into a fresh snapshot (recomputing per-cluster
-//! TF/IDF statistics) and truncates it.
+//! delta indices — `query` and `stats` replay the WAL automatically — and
+//! `compact` folds the log into a fresh snapshot (recomputing per-cluster
+//! TF/IDF statistics) and truncates it. `add` is `ingest` followed by
+//! `compact`: writes already pending in the log are folded in too, and
+//! the snapshot it writes is byte-identical to the one the two commands
+//! write.
 //!
 //! Observability flags (every subcommand):
 //!
@@ -541,21 +542,7 @@ fn query_mapped(
 
 fn cmd_ingest(args: &[String]) -> CliResult {
     let usage = "usage: intentmatch ingest <store.imp> <posts.txt> [--metrics-out M.jsonl]";
-    let mut positional: Vec<&String> = Vec::new();
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--metrics-out" => {
-                metrics_out = Some(args.get(i + 1).ok_or("--metrics-out takes a path")?.clone());
-                i += 2;
-            }
-            _ => {
-                positional.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
+    let (positional, metrics_out) = split_metrics_flag(args)?;
     let [store_path, posts_path] = positional[..] else {
         return Err(usage.into());
     };
@@ -588,21 +575,7 @@ fn cmd_ingest(args: &[String]) -> CliResult {
 
 fn cmd_compact(args: &[String]) -> CliResult {
     let usage = "usage: intentmatch compact <store.imp> [--metrics-out M.jsonl]";
-    let mut positional: Vec<&String> = Vec::new();
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--metrics-out" => {
-                metrics_out = Some(args.get(i + 1).ok_or("--metrics-out takes a path")?.clone());
-                i += 2;
-            }
-            _ => {
-                positional.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
+    let (positional, metrics_out) = split_metrics_flag(args)?;
     let [store_path] = positional[..] else {
         return Err(usage.into());
     };
@@ -665,17 +638,20 @@ fn cmd_add(args: &[String]) -> CliResult {
     if metrics_out.is_some() {
         enable_metrics();
     }
-    let (mut collection, mut pipeline) = store::load(Path::new(store_path))?;
+    // The same defaults `ingest` and `compact` open the store with, so the
+    // snapshot written here is byte-identical to theirs.
     let posts = read_posts(posts_path)?;
-    let cfg = PipelineConfig::default();
-    for p in &posts {
-        pipeline.add_post(&mut collection, &cfg, p);
-    }
-    store::save(Path::new(store_path), &collection, &pipeline)?;
+    let mut live = LiveStore::open(
+        Path::new(store_path),
+        PipelineConfig::default(),
+        IngestConfig::default(),
+    )?;
+    live.add_batch(&posts)?;
+    live.compact()?;
     eprintln!(
         "added {} posts; collection now {} posts",
         posts.len(),
-        collection.len()
+        live.current().num_docs()
     );
     if let Some(path) = metrics_out {
         dump_metrics(&path)?;

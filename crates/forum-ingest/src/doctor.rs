@@ -102,7 +102,6 @@ impl DoctorReport {
                         .with("postings_max", c.audit.postings_max as u64)
                         .with("postings_p50", c.audit.postings_p50 as u64)
                         .with("postings_p99", c.audit.postings_p99 as u64)
-                        .with("has_impacts", c.audit.has_impacts)
                         .with(
                             "problems",
                             Json::Arr(
@@ -182,7 +181,7 @@ impl DoctorReport {
             let _ = writeln!(
                 out,
                 "  cluster {:>3}: {:>6} units, {:>6} docs, {:>7} vocab, postings \
-                 total {} / p50 {} / p99 {} / max {}{}",
+                 total {} / p50 {} / p99 {} / max {}",
                 c.cluster,
                 c.audit.units,
                 c.audit.owners,
@@ -191,11 +190,6 @@ impl DoctorReport {
                 c.audit.postings_p50,
                 c.audit.postings_p99,
                 c.audit.postings_max,
-                if c.audit.has_impacts {
-                    ""
-                } else {
-                    " (no impact sidecars)"
-                },
             );
         }
         if self.wal.exists {
@@ -520,7 +514,6 @@ mod tests {
         assert_eq!(report.num_docs, posts().len());
         assert!(report.num_clusters > 0);
         assert!(!report.wal.exists);
-        assert!(report.clusters.iter().all(|c| c.audit.has_impacts));
     }
 
     #[test]

@@ -408,9 +408,8 @@ impl LiveStore {
     }
 
     /// Parses, segments, and cluster-assigns one post against the frozen
-    /// model — the same steps `IntentPipeline::add_post` runs, with the
-    /// snapshot's parse convention (`parse_clean`, what a reload would
-    /// produce) and the optional `assign_eps` noise gate.
+    /// model, with the snapshot's parse convention (`parse_clean`, what a
+    /// reload would produce) and the optional `assign_eps` noise gate.
     ///
     /// Drift observability: every incoming segment bumps
     /// `drift/segments_in` and records its nearest-centroid distance into

@@ -340,8 +340,8 @@ impl LiveEpoch {
     ///
     /// The base side is the shared per-cluster step
     /// ([`intentmatch::pipeline::scan_cluster`]) with the base tombstones
-    /// excluded (exactly — see
-    /// [`forum_index::SegmentIndex::top_owners_excluding`]); the delta
+    /// invisible inside the owner scan (exactly — see
+    /// [`forum_index::SegmentIndex::top_owners_excluding_filtered`]); the delta
     /// scan then scores pending units under the base's frozen statistics,
     /// and the two lists merge under the engine's (score desc, owner asc)
     /// order before truncation to `n`. Base and delta owner sets are

@@ -1,8 +1,9 @@
-//! Persistence walk-through: build once, save, restart, query, append.
+//! Persistence walk-through: build once, save, restart, query, grow.
 //!
 //! Run with: `cargo run --release --example persistence`
 
 use forum_corpus::{Corpus, Domain, GenConfig};
+use forum_ingest::{IngestConfig, LiveStore};
 use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection};
 use std::time::Instant;
 
@@ -19,6 +20,7 @@ fn main() {
     println!("offline build: {:?}", t.elapsed());
 
     let path = std::env::temp_dir().join("intentmatch-example.imp");
+    let _ = std::fs::remove_file(forum_ingest::wal_path_for(&path));
     store::save(&path, &collection, &pipeline).expect("save");
     println!(
         "saved {} posts / {} clusters to {} ({} bytes)",
@@ -30,7 +32,7 @@ fn main() {
 
     // "Restart": load and go straight to the online phase.
     let t = Instant::now();
-    let (mut coll2, mut pipe2) = store::load(&path).expect("load");
+    let (coll2, pipe2) = store::load(&path).expect("load");
     println!(
         "restore: {:?} (no re-segmentation, no re-clustering)",
         t.elapsed()
@@ -48,22 +50,31 @@ fn main() {
         "restore is lossless"
     );
 
-    // Incremental growth: a new post arrives.
-    let id = pipe2.add_post(
-        &mut coll2,
-        &PipelineConfig::default(),
-        "My CI pipeline fails with undefined symbols from the linker. \
-         I cleaned the build directory twice. \
-         Is there a known fix for this linker behavior on GCC?",
-    );
-    println!(
-        "\nappended post #{} without a rebuild; its related posts:",
-        id.as_usize()
-    );
-    for (d, score) in pipe2.top_k(&coll2, id.as_usize(), 3) {
-        let preview: String = coll2.docs[d as usize].doc.text.chars().take(70).collect();
+    // Growth: a new post arrives. `add` makes it durable in the write-ahead
+    // log and serves it at once; `compact` folds it into a fresh snapshot
+    // (the re-segmentation and re-clustering of the collection are not
+    // repeated — the post joins the nearest existing intention clusters).
+    let mut live = LiveStore::open(&path, PipelineConfig::default(), IngestConfig::default())
+        .expect("open live store");
+    let id = live
+        .add(
+            "My CI pipeline fails with undefined symbols from the linker. \
+             I cleaned the build directory twice. \
+             Is there a known fix for this linker behavior on GCC?",
+        )
+        .expect("add");
+    live.compact().expect("compact");
+    let epoch = live.current();
+    println!("\nadded post #{id} without a rebuild; its related posts:");
+    for (d, score) in epoch.top_k(id, 3) {
+        let preview: String = epoch.base.collection.docs[d as usize]
+            .doc
+            .text
+            .chars()
+            .take(70)
+            .collect();
         println!("  {score:.3}  #{d}: {preview}…");
     }
-    store::save(&path, &coll2, &pipe2).expect("re-save");
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(forum_ingest::wal_path_for(&path)).ok();
 }

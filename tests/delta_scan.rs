@@ -117,12 +117,13 @@ fn delta_scan_is_pinned() {
             let delta = &epoch.delta.deltas[cluster];
             let query = SegmentIndex::query_from_terms(&terms);
             let n = 2 * K;
-            let base = index.top_owners_excluding(
+            let base = index.top_owners_excluding_filtered(
                 &query,
                 n,
                 scheme,
                 Some(q),
                 epoch.delta.base_tombstones(),
+                None,
                 &mut scratch,
             );
             let floor = (base.len() == n).then(|| base[n - 1].1);

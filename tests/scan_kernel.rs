@@ -21,7 +21,7 @@ use forum_index::{ScanCosts, ScoreScratch, SegmentIndex, WeightingScheme};
 use forum_ingest::{IngestConfig, LiveStore};
 use intentmatch::pipeline::QueryScratch;
 use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection, StoreView};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 const K: usize = 5;
 
@@ -117,8 +117,15 @@ fn scan_kernel_is_pinned_across_backends_and_oracles() {
             let index = &epoch.base.pipeline.clusters[cluster].index;
             let query = SegmentIndex::query_from_terms(&terms);
             for n in [1, 2 * K] {
-                let scan =
-                    index.top_owners_filtered(&query, n, scheme, Some(q), None, &mut scratch);
+                let scan = index.top_owners_excluding_filtered(
+                    &query,
+                    n,
+                    scheme,
+                    Some(q),
+                    &HashSet::new(),
+                    None,
+                    &mut scratch,
+                );
                 costs.merge(&scratch.costs.take());
                 let oracle = reference_owners(index, &query, scheme, q, n);
                 assert_eq!(
