@@ -1,4 +1,4 @@
-//! Offline clustering at scale: exact vs norm-pruned vs parallel DBSCAN.
+//! Offline clustering at scale: exact vs pruned vs parallel DBSCAN.
 //!
 //! The paper's offline stage clusters every segment vector once per
 //! rebuild (Section 6); at StackOverflow scale that is hundreds of
@@ -7,7 +7,9 @@
 //! synthetic segment vectors:
 //!
 //!   reference  the seed's sequential BFS DBSCAN (full n² distance scan)
-//!   pruned     `dbscan_matrix` at 1 thread (norm-band + early-abort)
+//!   pruned     `dbscan_matrix` at 1 thread (duplicate collapse, band on
+//!              the better of norm and principal-axis key, early abort
+//!              over prefix-blocked rows)
 //!   parallel   `dbscan_matrix` with auto threads (one worker per core)
 //!
 //! Labels are asserted bit-identical across all engines at every size,
@@ -57,8 +59,10 @@ impl SplitMix64 {
 
 /// Synthetic segment vectors: Gaussian-ish blobs around `centers` cluster
 /// centres, each centre scaled by a factor in `[0.2, 2.6]` so the cloud
-/// has genuine L2-norm spread for the norm-band index to exploit — real
-/// segment vectors vary in norm with segment length the same way.
+/// has genuine L2-norm spread for the band index to exploit — real
+/// segment vectors vary in norm with segment length the same way. (On
+/// these blobs the norm key beats the principal-axis key, so the index
+/// keeps the norm.)
 fn synthetic_segments(n: usize, centers: usize, seed: u64) -> PointMatrix {
     let mut rng = SplitMix64(seed);
     let mut centroids = Vec::with_capacity(centers);
@@ -136,7 +140,7 @@ pub fn run(opts: &Options) {
         }
 
         // Fraction of the full n² distance matrix the pruned engine
-        // actually evaluated — the norm band plus early abort at work.
+        // actually evaluated — the band and the half-band symmetry at work.
         let eval_ratio = pruned.stats.dist_evals as f64 / (n as f64 * n as f64);
         let speedup_pruned = reference
             .as_ref()

@@ -253,8 +253,8 @@ impl IntentPipeline {
         let events = forum_obs::EventLog::global();
         if events.is_enabled() {
             // Dist-eval ratio: distance evaluations as a fraction of the
-            // n² a brute-force exact run would need — how much the norm
-            // band plus sampling actually saved.
+            // n² a brute-force exact run would need — how much the band,
+            // the duplicate collapse and sampling actually saved.
             let n = features.len() as f64;
             let ratio = if n > 0.0 {
                 cluster_stats.dist_evals as f64 / (n * n)

@@ -1,5 +1,6 @@
-//! Composition contract: `NormIndex` norm-band pruning (inside the DBSCAN
-//! that forms the intention clusters) and impact-ordered early termination
+//! Composition contract: `BandIndex` band pruning, duplicate collapse and
+//! the prefix-blocked distance kernel (inside the DBSCAN that forms the
+//! intention clusters) and impact-ordered early termination
 //! (inside each cluster's index scan) must compose without changing a
 //! single ranking. The clusters a query routes to are shaped by the
 //! band-pruned neighbourhood scans; the postings each scan touches are

@@ -4,8 +4,12 @@
 //! needs no a-priori cluster count, (2) finds arbitrarily-shaped clusters
 //! and (3) has a noise notion (Section 6). The production entry point is
 //! [`dbscan_matrix`]: an exact engine over flat [`PointMatrix`] storage
-//! that prunes region-query candidates with an L2-norm band
-//! ([`NormIndex`]), aborts distance sums early ([`sq_dist_bounded`]),
+//! that clusters each distinct row once (bit-identical duplicates carry a
+//! multiplicity), prunes region-query candidates with a band on the better
+//! of two Lipschitz keys — L2 norm or principal-axis projection
+//! ([`BandIndex`]) — reads candidates from a two-block row copy whose
+//! 8-coordinate head block serves the early distance abort
+//! ([`sq_dist_bounded`](crate::sq_dist_bounded)'s order, bit for bit),
 //! evaluates every surviving candidate pair **once** (half-band symmetric
 //! scans), fans the pair work out across workers balanced by estimated
 //! pair count, and merges the clusters through one shared lock-free
@@ -24,9 +28,10 @@
 //! cluster the way the paper's "library for very large datasets" does: it
 //! clusters a uniform sample exactly, then assigns every remaining point
 //! to the cluster of the nearest sampled core point within `eps` (noise
-//! otherwise). Both its passes run on the same banded parallel core.
+//! otherwise). Both its passes run on the same band index and blocked
+//! rows.
 
-use crate::points::{sq_dist_bounded, NormIndex, PointMatrix};
+use crate::points::{BandIndex, BlockedRows, PointMatrix, Query};
 use crate::sq_dist;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -64,10 +69,12 @@ pub struct DbscanStats {
     pub region_queries: u64,
     /// Candidate pairs whose distance was actually evaluated (band
     /// survivors; the brute-force scan evaluates `n` per region query).
-    /// The half-band engine evaluates each surviving unordered pair once,
-    /// and its adjacency pass skips pairs whose endpoints are already in
-    /// the same component — so in parallel runs this counter depends on
-    /// scheduling (the labels never do).
+    /// The half-band engine evaluates each surviving unordered pair of
+    /// distinct rows at most once per pass. Its core pass skips pairs
+    /// whose endpoints are both core by the worker's own counts, so this
+    /// counter depends on the thread count; its adjacency pass skips pairs
+    /// whose endpoints are already in the same component, so in parallel
+    /// runs it also depends on scheduling (the labels never do).
     pub dist_evals: u64,
     /// Points pushed onto a BFS seed queue ([`dbscan_reference`] only;
     /// the union-find engine has no queue).
@@ -223,7 +230,7 @@ fn worker_ranges(n: usize, threads: usize) -> Vec<(usize, usize)> {
 
 /// Contiguous ranges covering `0..weights.len()` with approximately equal
 /// total weight per range. The half-band pair scans need this: a
-/// low-norm-rank point owns every band pair above it while the highest
+/// low-key-rank point owns every band pair above it while the highest
 /// rank owns none, so equal-*count* ranges would hand the first worker
 /// roughly twice the distance work of the last.
 fn weighted_ranges(weights: &[u64], threads: usize) -> Vec<(usize, usize)> {
@@ -248,35 +255,75 @@ fn weighted_ranges(weights: &[u64], threads: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
+/// Groups bit-identical rows by sorting row indices on their coordinates'
+/// bit patterns (no hash table, so no second copy of the rows). Returns
+/// each row's class, the first row of each class, and each class's size.
+fn distinct_rows(points: &PointMatrix) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let n = points.len();
+    assert!(
+        n <= u32::MAX as usize,
+        "DBSCAN supports up to u32::MAX points"
+    );
+    let bits = |i: u32| points.row(i as usize).iter().map(|x| x.to_bits());
+    let mut by_bits: Vec<u32> = (0..n as u32).collect();
+    by_bits.sort_unstable_by(|&a, &b| bits(a).cmp(bits(b)).then(a.cmp(&b)));
+    let mut class_of = vec![0u32; n];
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut sizes: Vec<u32> = Vec::new();
+    for (k, &i) in by_bits.iter().enumerate() {
+        if k == 0 || bits(by_bits[k - 1]).ne(bits(i)) {
+            firsts.push(i);
+            sizes.push(0);
+        }
+        class_of[i as usize] = (firsts.len() - 1) as u32;
+        *sizes.last_mut().expect("a class was just opened") += 1;
+    }
+    (class_of, firsts, sizes)
+}
+
 /// Exact DBSCAN over flat point storage, parallel across `threads` workers
 /// (`0` = one per core). Output — labels *and* cluster numbering — is
 /// bit-identical to [`dbscan_reference`] for every thread count.
 ///
 /// Phases:
+/// 0. **Duplicate collapse** (sequential): bit-identical rows are
+///    clustered once, as one *distinct row* carrying its multiplicity.
+///    Copies sit at distance 0 from each other (a NaN row neighbours
+///    nothing, not even itself) and at the same distance from every other
+///    point, so the collapsed neighbour counts — multiplicities summed —
+///    equal the per-point ones, and every copy takes its row's label. The
+///    distinct rows are indexed by [`BandIndex`] and copied in key-rank
+///    order into two blocks (first 8 coordinates, then the rest).
 /// 1. **Core determination** (parallel, half-band): each unordered
 ///    candidate pair `(r, c)` with rank `r < c` is distance-checked once —
-///    from the lower rank's side — and credited to both endpoints'
-///    neighbour counts (the self-distance is checked explicitly so NaN
-///    points still neighbour nothing); `core[i] = count ≥ min_pts`.
-///    Workers own contiguous rank ranges balanced by half-band size, and
-///    merge their per-point count vectors at the barrier.
+///    from the lower rank's side — and credits each endpoint with the
+///    other's multiplicity (the self-distance is checked explicitly so NaN
+///    rows still neighbour nothing); `core[r] = count ≥ min_pts`. A pair
+///    whose endpoints both already count `min_pts` is skipped: it cannot
+///    change a core flag. Workers own contiguous rank ranges balanced by
+///    half-band size, and merge their per-row count vectors at the
+///    barrier.
 /// 2. **Adjacency** (parallel, half-band): the same pair enumeration, now
 ///    into one *shared* lock-free forest. Pairs with no core endpoint are
 ///    skipped outright; core–core pairs already in one component skip the
 ///    distance arithmetic entirely (a skipped edge would connect points
 ///    that are already connected); surviving core–core eps-edges are
 ///    unioned and core–noncore eps-pairs collected as `(border, core)`.
-/// 3. **Canonical relabel** (sequential, O(n·α)): scanning core points in
-///    index order assigns each component its cluster id at the component's
-///    minimum core index — exactly the id the sequential algorithm's outer
-///    loop would have handed it. Border points then take the minimum
-///    cluster id among their in-eps cores.
+/// 3. **Canonical relabel** (sequential, O(n·α)): scanning the input
+///    points in index order assigns each component its cluster id at the
+///    component's minimum core index — exactly the id the sequential
+///    algorithm's outer loop would have handed it. Border rows then take
+///    the minimum cluster id among their in-eps cores, and every point
+///    takes its distinct row's label.
 ///
 /// Half-band enumeration is exact even though the floating-point band
 /// edges need not be symmetric: the band is a *necessary*-condition filter
-/// whose slack covers norm rounding, so any true eps-pair lies inside both
+/// whose slack covers key rounding, so any true eps-pair lies inside both
 /// endpoints' bands, and an edge-of-band candidate visible from only one
 /// side fails the exact distance check from either.
+///
+/// [`DbscanStats::dist_evals`] counts distinct-row pairs;
+/// [`DbscanStats::region_queries`] stays two per input point.
 pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -> DbscanResult {
     let started = Instant::now();
     let n = points.len();
@@ -288,48 +335,66 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
         };
     }
     let eps2 = cfg.eps * cfg.eps;
-    let index = NormIndex::build(points);
-    // Permute the rows into norm order once: a band is then a contiguous
-    // run of ranks, so the hot scans below stream adjacent rows instead of
-    // chasing `order[...]` indirections all over the original matrix —
-    // the difference between cache-resident and DRAM-latency-bound once
-    // the matrix outgrows L2. Phases 1–3a work entirely in rank space;
-    // 3b maps back through the permutation. The per-pair arithmetic is
-    // untouched, so labels stay bit-identical.
-    let by_rank: Vec<usize> = index.order().iter().map(|&i| i as usize).collect();
-    let sorted = points.gather(&by_rank);
-    // Upper half-band sizes (plus the self check) double as the per-rank
-    // work estimate for balancing the contiguous worker ranges.
-    let half_width: Vec<u64> = (0..n)
-        .map(|r| {
-            let band = index.band_range(index.key_at(r), cfg.eps);
-            band.end.saturating_sub(r + 1) as u64 + 1
-        })
+    let (mut rank_of, firsts, sizes) = distinct_rows(points);
+    let index = BandIndex::build_over(points, &firsts, cfg.eps);
+    let m = index.len();
+    // Rank space from here on: a band is a contiguous run of ranks, so the
+    // scans below stream adjacent rows of the blocked copy instead of
+    // chasing `order[...]` indirections all over the original matrix.
+    let rows = BlockedRows::gather(
+        points,
+        index.order().iter().map(|&p| firsts[p as usize] as usize),
+    );
+    let weight: Vec<u32> = index.order().iter().map(|&p| sizes[p as usize]).collect();
+    let mut rank_of_class = vec![0u32; m];
+    for (r, &p) in index.order().iter().enumerate() {
+        rank_of_class[p as usize] = r as u32;
+    }
+    for r in rank_of.iter_mut() {
+        *r = rank_of_class[*r as usize];
+    }
+    drop((firsts, sizes, rank_of_class));
+    // End of each rank's band; the upper half-band sizes (plus the self
+    // check) double as the per-rank work estimate for balancing the
+    // contiguous worker ranges.
+    let ends = index.band_ends();
+    let half_width: Vec<u64> = ends
+        .iter()
+        .enumerate()
+        .map(|(r, &end)| (end as usize).saturating_sub(r + 1) as u64 + 1)
         .collect();
     let ranges = weighted_ranges(&half_width, threads);
     let workers = ranges.len();
 
-    // Phase 1: symmetric half-band neighbour counts → core flags (rank
-    // space). Each unordered pair is evaluated once and credited to both
-    // endpoints; counts for ranks outside a worker's own range land in its
-    // private count vector and merge at the barrier.
+    // Phase 1: symmetric half-band neighbour counts → core flags. Each
+    // unordered pair is evaluated once and credited to both endpoints;
+    // counts for ranks outside a worker's own range land in its private
+    // count vector and merge at the barrier.
+    // A worker's counts are lower bounds of the totals, so once both
+    // endpoints of a pair have reached `min_pts` locally, both are core
+    // whatever the pair adds: the pair is skipped, and the core flags —
+    // all this phase produces — stay exact.
+    let saturated = u32::try_from(cfg.min_pts).unwrap_or(u32::MAX);
     let pass1 = forum_par::parallel_map(&ranges, workers, |&(lo, hi)| {
-        let mut counts = vec![0u32; n];
+        let mut counts = vec![0u32; m];
         let mut dist_evals = 0u64;
         for r in lo..hi {
-            let row = sorted.row(r);
+            let q = rows.query(r);
+            let w = weight[r];
             // Self-distance: 0 for finite rows (always ≤ eps²), NaN — and
             // therefore uncounted — for NaN rows, as in the full scan.
             dist_evals += 1;
-            if sq_dist_bounded(row, row, eps2).is_some() {
-                counts[r] += 1;
+            if rows.sq_dist_bounded(&q, r, eps2).is_some() {
+                counts[r] += w;
             }
-            let band = index.band_range(index.key_at(r), cfg.eps);
-            for c in (r + 1)..band.end {
+            for c in (r + 1)..ends[r] as usize {
+                if counts[r] >= saturated && counts[c] >= saturated {
+                    continue;
+                }
                 dist_evals += 1;
-                if sq_dist_bounded(row, sorted.row(c), eps2).is_some() {
-                    counts[r] += 1;
-                    counts[c] += 1;
+                if rows.sq_dist_bounded(&q, c, eps2).is_some() {
+                    counts[r] += weight[c];
+                    counts[c] += w;
                 }
             }
         }
@@ -339,7 +404,7 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
         region_queries: n as u64,
         ..DbscanStats::default()
     };
-    let mut totals = vec![0u32; n];
+    let mut totals = vec![0u32; m];
     for (counts, dist_evals) in pass1 {
         stats.dist_evals += dist_evals;
         for (t, c) in totals.iter_mut().zip(counts) {
@@ -350,22 +415,21 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
     drop(totals);
 
     // Phase 2: half-band edges into one shared lock-free forest; border
-    // pairs for non-core points. Only pairs with a core endpoint matter,
+    // pairs for non-core rows. Only pairs with a core endpoint matter,
     // and already-connected core pairs skip the distance entirely.
-    let dsu = AtomicDsu::new(n);
+    let dsu = AtomicDsu::new(m);
     let core_ref = &core;
     let dsu_ref = &dsu;
     let pass2 = forum_par::parallel_map(&ranges, workers, |&(lo, hi)| {
         let mut borders: Vec<(u32, u32)> = Vec::new();
         let mut dist_evals = 0u64;
         for r in lo..hi {
-            let row = sorted.row(r);
+            let q = rows.query(r);
             let r_core = core_ref[r];
-            let band = index.band_range(index.key_at(r), cfg.eps);
-            // `c` indexes the core flags, the matrix rows, and the DSU in
+            // `c` indexes the core flags, the rows, and the DSU in
             // lockstep — a range loop is the clear spelling.
             #[allow(clippy::needless_range_loop)]
-            for c in (r + 1)..band.end {
+            for c in (r + 1)..ends[r] as usize {
                 let c_core = core_ref[c];
                 if !r_core && !c_core {
                     continue;
@@ -374,7 +438,7 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
                     continue;
                 }
                 dist_evals += 1;
-                if sq_dist_bounded(row, sorted.row(c), eps2).is_some() {
+                if rows.sq_dist_bounded(&q, c, eps2).is_some() {
                     if r_core && c_core {
                         dsu_ref.union(r as u32, c as u32);
                     } else if r_core {
@@ -396,37 +460,34 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
 
     // Phase 3: canonical numbering — scanning cores in *original* index
     // order hands each component its id at the component's minimum core
-    // index (rank order would number clusters by norm instead, breaking
+    // index (rank order would number clusters by key instead, breaking
     // bit-identity with the reference engine).
-    let mut rank_of: Vec<u32> = vec![0; n];
-    for (r, &i) in by_rank.iter().enumerate() {
-        rank_of[i] = r as u32;
-    }
-    let mut labels: Vec<Option<usize>> = vec![None; n];
-    let mut root_to_id: Vec<u32> = vec![u32::MAX; n];
+    let mut root_to_id: Vec<u32> = vec![u32::MAX; m];
     let mut num_clusters = 0usize;
-    for i in 0..n {
-        let r = rank_of[i];
+    for &r in &rank_of {
         if core[r as usize] {
             let root = dsu.find(r) as usize;
             if root_to_id[root] == u32::MAX {
                 root_to_id[root] = num_clusters as u32;
                 num_clusters += 1;
             }
-            labels[i] = Some(root_to_id[root] as usize);
         }
     }
-    // Border points: minimum cluster id among in-eps cores (the first
+    let mut rank_labels: Vec<Option<usize>> = (0..m as u32)
+        .map(|r| core[r as usize].then(|| root_to_id[dsu.find(r) as usize] as usize))
+        .collect();
+    // Border rows: minimum cluster id among in-eps cores (the first
     // cluster whose expansion would have reached them sequentially).
     for borders in border_lists {
         for (b, c) in borders {
             let id = root_to_id[dsu.find(c) as usize] as usize;
-            let slot = &mut labels[by_rank[b as usize]];
+            let slot = &mut rank_labels[b as usize];
             if slot.is_none_or(|cur| id < cur) {
                 *slot = Some(id);
             }
         }
     }
+    let labels = rank_of.iter().map(|&r| rank_labels[r as usize]).collect();
 
     record_cluster_metrics(n, &stats, started);
     DbscanResult {
@@ -446,15 +507,18 @@ fn record_cluster_metrics(n: usize, stats: &DbscanStats, started: Instant) {
     obs.record_duration("offline/cluster_ns", started.elapsed());
     obs.incr("offline/region_queries", stats.region_queries);
     obs.incr("offline/dist_evals", stats.dist_evals);
-    // Pruning efficiency: share of the brute-force candidate pairs
-    // (`region_queries × n`) the norm band eliminated before any distance
-    // arithmetic ran.
-    let brute = (stats.region_queries as f64) * (n as f64);
-    if brute > 0.0 {
-        let pct = 100.0 * (1.0 - stats.dist_evals as f64 / brute);
-        obs.gauge("offline/cluster_prune_pct")
-            .set(pct.clamp(0.0, 100.0).round() as i64);
-    }
+    obs.gauge("offline/cluster_prune_pct")
+        .set(prune_pct(n, stats.dist_evals));
+}
+
+/// Pruning efficiency: the percentage of the full n² distance matrix that
+/// no distance evaluation touched — the band, the duplicate collapse and
+/// the half-band symmetry together.
+fn prune_pct(n: usize, dist_evals: u64) -> i64 {
+    let full = (n as f64) * (n as f64);
+    (100.0 * (1.0 - dist_evals as f64 / full))
+        .clamp(0.0, 100.0)
+        .round() as i64
 }
 
 /// Exact DBSCAN over `points`.
@@ -575,7 +639,7 @@ pub fn dbscan_sampled<R: Rng>(
 /// [`dbscan_sampled`] over flat storage with `threads` workers: the sample
 /// is clustered by the exact parallel engine, sample cores are determined
 /// with banded parallel region queries, and the remaining points are
-/// assigned in parallel against a norm index over just the core points.
+/// assigned in parallel against a band index over just the core points.
 ///
 /// Points within `eps` of a sampled core point join that core's cluster
 /// (nearest core wins; ties go to the earlier core in sample order, same
@@ -606,12 +670,12 @@ pub fn dbscan_sampled_matrix<R: Rng>(
     let eps2 = cfg.eps * cfg.eps;
     let scaled_min = ((cfg.min_pts * max_sample) as f64 / n as f64).ceil() as usize;
     let scaled_min = scaled_min.max(2);
-    let sample_index = NormIndex::build(&sample);
-    // As in `dbscan_matrix`: keep a norm-ordered copy so every band scan
-    // streams contiguous rows. The per-pair arithmetic is identical, so
-    // the flags (and with them the labels) don't change.
-    let sample_by_rank: Vec<usize> = sample_index.order().iter().map(|&i| i as usize).collect();
-    let sample_sorted = sample.gather(&sample_by_rank);
+    let sample_index = BandIndex::build(&sample, cfg.eps);
+    // As in `dbscan_matrix`: a key-ordered blocked copy, so every band
+    // scan streams contiguous rows. The per-pair arithmetic is identical,
+    // so the flags (and with them the labels) don't change.
+    let sample_rows =
+        BlockedRows::gather(&sample, sample_index.order().iter().map(|&i| i as usize));
     let dist_evals = AtomicU64::new(0);
     let sample_ranges = worker_ranges(sample.len(), threads);
     let core_flags = forum_par::parallel_map(&sample_ranges, sample_ranges.len(), |&(lo, hi)| {
@@ -623,11 +687,11 @@ pub fn dbscan_sampled_matrix<R: Rng>(
                 continue;
             }
             let row = sample.row(si);
-            let band = sample_index.band_range(NormIndex::key_of(row), cfg.eps);
+            let q = Query::of(row);
             let mut count = 0usize;
-            for c in band {
+            for c in sample_index.band_range(sample_index.key_of(row)) {
                 evals += 1;
-                if sq_dist_bounded(row, sample_sorted.row(c), eps2).is_some() {
+                if sample_rows.sq_dist_bounded(&q, c, eps2).is_some() {
                     count += 1;
                 }
             }
@@ -655,23 +719,28 @@ pub fn dbscan_sampled_matrix<R: Rng>(
     // nearest in-eps core, ties broken toward the earlier core in sample
     // order (`(distance, core position)` lexicographic minimum — exactly
     // what a first-strict-minimum scan over `cores` produces).
-    let core_points = sample.gather(&cores.iter().map(|&(si, _)| si as usize).collect::<Vec<_>>());
-    let core_index = NormIndex::build(&core_points);
-    // Norm-ordered copy again: the band walks contiguous rows; `p` stays
-    // the core's *position* in `cores`, so the `(distance, position)`
-    // tie-break — a minimum over the same candidate set, hence
-    // scan-order independent — picks the same core as before.
-    let core_by_rank: Vec<usize> = core_index.order().iter().map(|&p| p as usize).collect();
-    let core_sorted = core_points.gather(&core_by_rank);
+    let core_samples: Vec<u32> = cores.iter().map(|&(si, _)| si).collect();
+    let core_index = BandIndex::build_over(&sample, &core_samples, cfg.eps);
+    // Key-ordered blocked copy again; `p` stays the core's *position* in
+    // `cores`, so the `(distance, position)` tie-break — a minimum over the
+    // same candidate set, hence scan-order independent — picks the same
+    // core as a scan over `cores` in order.
+    let core_rows = BlockedRows::gather(
+        &sample,
+        core_index
+            .order()
+            .iter()
+            .map(|&p| core_samples[p as usize] as usize),
+    );
     let rest: Vec<u32> = (0..n as u32).filter(|&i| !in_sample[i as usize]).collect();
     let assigned = forum_par::parallel_map(&rest, threads, |&i| {
         let row = points.row(i as usize);
-        let band = core_index.band_range(NormIndex::key_of(row), cfg.eps);
+        let q = Query::of(row);
         let mut evals = 0u64;
         let mut best: Option<(f64, u32)> = None;
-        for c in band {
+        for c in core_index.band_range(core_index.key_of(row)) {
             evals += 1;
-            if let Some(d) = sq_dist_bounded(row, core_sorted.row(c), eps2) {
+            if let Some(d) = core_rows.sq_dist_bounded(&q, c, eps2) {
                 let p = core_index.order()[c];
                 if best.is_none_or(|(bd, bp)| d < bd || (d == bd && p < bp)) {
                     best = Some((d, p));
@@ -837,6 +906,12 @@ mod tests {
                     eps: 0.05,
                     min_pts: 2,
                 },
+                // Only eps² enters the distance test, so a negative eps
+                // must cluster like its magnitude.
+                DbscanConfig {
+                    eps: -0.5,
+                    min_pts: 4,
+                },
             ] {
                 let reference = dbscan_reference(&pts, &cfg);
                 for threads in [1usize, 2, 4, 8] {
@@ -954,6 +1029,25 @@ mod tests {
         let got = dbscan_matrix(&PointMatrix::from_rows(&pts), &cfg, 4);
         assert_eq!(got.labels, reference.labels);
         assert_eq!(got.labels[pts.len() - 1], None);
+    }
+
+    #[test]
+    fn infinite_coordinates_match_reference_at_every_eps() {
+        // An infinite coordinate neighbours nothing at finite eps, and
+        // every finite point at eps = ∞ (∞² ≤ ∞); whichever key the band
+        // index picks, its bands must agree.
+        let mut pts: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64, -(i as f64)]).collect();
+        pts.push(vec![f64::NEG_INFINITY, 0.0]);
+        pts.push(vec![0.0, f64::INFINITY]);
+        pts.push(vec![f64::NAN, 1.0]);
+        for eps in [0.5, 2.0, f64::INFINITY] {
+            let cfg = DbscanConfig { eps, min_pts: 3 };
+            let reference = dbscan_reference(&pts, &cfg);
+            for threads in [1usize, 2] {
+                let got = dbscan_matrix(&PointMatrix::from_rows(&pts), &cfg, threads);
+                assert_eq!(got.labels, reference.labels, "eps {eps}, {threads} threads");
+            }
+        }
     }
 
     #[test]

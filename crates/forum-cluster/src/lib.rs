@@ -15,7 +15,10 @@
 //!   (the live-ingestion path).
 //! * [`points`] — flat row-major point storage ([`PointMatrix`]) shared by
 //!   every kernel above, plus the exact region-query accelerators: the
-//!   early-abort [`sq_dist_bounded`] and the L2-norm band [`NormIndex`].
+//!   early-abort [`sq_dist_bounded`], the [`BandIndex`] that bands on the
+//!   L2 norm or the principal-axis projection (whichever passes fewer
+//!   pairs), and the two-block row copy DBSCAN scans. DBSCAN itself
+//!   clusters each bit-distinct row once.
 
 pub mod assign;
 pub mod dbscan;
@@ -33,7 +36,7 @@ pub use dbscan::{
 };
 pub use feature::{segment_features, SEGMENT_FEATURE_DIM};
 pub use kmeans::{kmeans, kmeans_matrix, KMeansConfig, KMeansResult};
-pub use points::{sq_dist_bounded, NormIndex, PointMatrix};
+pub use points::{sq_dist_bounded, BandIndex, PointMatrix};
 pub use silhouette::{mean_silhouette, mean_silhouette_matrix};
 
 /// Squared Euclidean distance between two equal-length vectors.
