@@ -1,14 +1,17 @@
-//! A parsed, CM-annotated post collection.
+//! A parsed post collection, CM-annotated on demand.
 
 use forum_corpus::Corpus;
 use forum_segment::CmDoc;
 use forum_text::{document::DocId, Document};
 
-/// A collection of posts, parsed and CM-annotated once, shared by every
-/// method under evaluation.
+/// A collection of posts, parsed once and shared by every method under
+/// evaluation. The constructors here also CM-annotate every post
+/// ([`CmDoc::new`]), since building segments them all; a collection
+/// restored from a store holds [`CmDoc::parsed`] documents, annotated only
+/// if a table is asked for.
 #[derive(Debug)]
 pub struct PostCollection {
-    /// One annotated document per post; index = document id.
+    /// One document per post; index = document id.
     pub docs: Vec<CmDoc>,
 }
 

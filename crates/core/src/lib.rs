@@ -35,7 +35,7 @@
 //! ```
 //!
 //! Modules:
-//! * [`collection`] — a parsed, CM-annotated post collection.
+//! * [`collection`] — a parsed post collection, CM-annotated on demand.
 //! * [`pipeline`] — the offline build (steps 1–3) and online matching
 //!   (step 4), with per-phase timings. Algorithm 2 lives here once — a
 //!   per-cluster step ([`pipeline::scan_cluster`]), a fold

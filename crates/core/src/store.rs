@@ -11,9 +11,12 @@
 //! self-describing codec of [`forum_index::codec`]; no external
 //! serialization dependencies.
 //!
-//! Post texts are stored raw and re-parsed on load (parsing + CM annotation
-//! is the cheap part of the offline phase; border selection, clustering and
-//! index construction — the expensive parts — are restored, not re-run).
+//! Post texts are stored raw and re-parsed on load (parsing is the cheap
+//! part of the offline phase; border selection, clustering and index
+//! construction — the expensive parts — are restored, not re-run). The
+//! restored documents are not CM-annotated: retrieval reads only their
+//! terms, and a [`forum_segment::CmDoc`] annotates itself if a table is
+//! ever asked for.
 
 use crate::collection::PostCollection;
 use crate::pipeline::{BuildTimings, ClusterIndex, IntentPipeline, RefinedSegment};
@@ -147,7 +150,7 @@ pub fn decode(bytes: &[u8]) -> Result<(PostCollection, IntentPipeline), StoreErr
     let mut docs = Vec::with_capacity(r.capacity_hint(n_docs, 4));
     for i in 0..n_docs {
         let text = r.string("doc text")?;
-        docs.push(forum_segment::CmDoc::new(Document::parse_clean(
+        docs.push(forum_segment::CmDoc::parsed(Document::parse_clean(
             DocId(i as u32),
             &text,
         )));

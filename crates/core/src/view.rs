@@ -573,14 +573,15 @@ impl StoreView {
             .map_err(|_| format_err(format!("document {q} text is not valid UTF-8")))
     }
 
-    /// The parsed, CM-annotated document `q`, materialized on first touch.
+    /// The parsed document `q`, materialized on first touch (not
+    /// CM-annotated: queries read only its terms).
     pub fn document(&self, q: usize) -> Result<Arc<CmDoc>, StoreError> {
         self.check_doc(q)?;
         let r = self.doc_cache[q].get_or_init(|| {
             let text = self.doc_text(q).map_err(|e| e.to_string())?;
             let obs = Registry::global();
             obs.incr("store/lazy_loads", 1);
-            Ok(Arc::new(CmDoc::new(Document::parse_clean(
+            Ok(Arc::new(CmDoc::parsed(Document::parse_clean(
                 DocId(q as u32),
                 &text,
             ))))
@@ -822,7 +823,7 @@ pub(crate) fn hydrate(view: &StoreView) -> Result<(PostCollection, IntentPipelin
     let mut docs = Vec::with_capacity(view.num_docs());
     for i in 0..view.num_docs() {
         let text = view.doc_text(i)?;
-        docs.push(CmDoc::new(Document::parse_clean(DocId(i as u32), &text)));
+        docs.push(CmDoc::parsed(Document::parse_clean(DocId(i as u32), &text)));
     }
     let collection = PostCollection { docs };
 

@@ -28,8 +28,9 @@
 //! cluster the way the paper's "library for very large datasets" does: it
 //! clusters a uniform sample exactly, then assigns every remaining point
 //! to the cluster of the nearest sampled core point within `eps` (noise
-//! otherwise). Both its passes run on the same band index and blocked
-//! rows.
+//! otherwise). The sample's core points come from the exact run's own
+//! neighbour counts; the assignment runs on a band index and blocked rows
+//! over just those cores.
 
 use crate::points::{BandIndex, BlockedRows, PointMatrix, Query};
 use crate::sq_dist;
@@ -65,7 +66,8 @@ impl Default for DbscanConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbscanStats {
     /// Eps-neighbourhood scans performed (the engine runs two per point:
-    /// core determination, then adjacency/border collection).
+    /// core determination, then adjacency/border collection; the sampled
+    /// path adds one per point outside the sample, its assignment).
     pub region_queries: u64,
     /// Candidate pairs whose distance was actually evaluated (band
     /// survivors; the brute-force scan evaluates `n` per region query).
@@ -218,16 +220,6 @@ impl AtomicDsu {
     }
 }
 
-/// Contiguous per-worker index ranges covering `0..n`.
-fn worker_ranges(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let threads = forum_par::auto_threads(threads).min(n).max(1);
-    let chunk = n.div_ceil(threads);
-    (0..threads)
-        .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
 /// Contiguous ranges covering `0..weights.len()` with approximately equal
 /// total weight per range. The half-band pair scans need this: a
 /// low-key-rank point owns every band pair above it while the highest
@@ -326,13 +318,34 @@ fn distinct_rows(points: &PointMatrix) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
 /// [`DbscanStats::region_queries`] stays two per input point.
 pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -> DbscanResult {
     let started = Instant::now();
+    let (result, _) = dbscan_counted(points, cfg, threads, cfg.min_pts);
+    if !points.is_empty() {
+        record_cluster_metrics(points.len(), &result.stats, started);
+    }
+    result
+}
+
+/// The engine behind [`dbscan_matrix`], publishing nothing. Also returns
+/// every input point's eps-neighbour count (itself included) saturated at
+/// `count_cap`: exact below the cap, the cap at or above it. Phase 1 stops
+/// counting a pair only once both endpoints hold `count_cap`, so with
+/// `count_cap ≥ min_pts` the core flags, and so the labels, are those of
+/// [`dbscan_matrix`].
+fn dbscan_counted(
+    points: &PointMatrix,
+    cfg: &DbscanConfig,
+    threads: usize,
+    count_cap: usize,
+) -> (DbscanResult, Vec<u32>) {
+    debug_assert!(count_cap >= cfg.min_pts);
     let n = points.len();
     if n == 0 {
-        return DbscanResult {
+        let empty = DbscanResult {
             labels: Vec::new(),
             num_clusters: 0,
             stats: DbscanStats::default(),
         };
+        return (empty, Vec::new());
     }
     let eps2 = cfg.eps * cfg.eps;
     let (mut rank_of, firsts, sizes) = distinct_rows(points);
@@ -371,10 +384,10 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
     // counts for ranks outside a worker's own range land in its private
     // count vector and merge at the barrier.
     // A worker's counts are lower bounds of the totals, so once both
-    // endpoints of a pair have reached `min_pts` locally, both are core
-    // whatever the pair adds: the pair is skipped, and the core flags —
-    // all this phase produces — stay exact.
-    let saturated = u32::try_from(cfg.min_pts).unwrap_or(u32::MAX);
+    // endpoints of a pair have reached the cap (≥ `min_pts`) locally, both
+    // are core whatever the pair adds: the pair is skipped, and the core
+    // flags and the capped totals stay exact.
+    let saturated = u32::try_from(count_cap).unwrap_or(u32::MAX);
     let pass1 = forum_par::parallel_map(&ranges, workers, |&(lo, hi)| {
         let mut counts = vec![0u32; m];
         let mut dist_evals = 0u64;
@@ -412,7 +425,6 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
         }
     }
     let core: Vec<bool> = totals.iter().map(|&c| c as usize >= cfg.min_pts).collect();
-    drop(totals);
 
     // Phase 2: half-band edges into one shared lock-free forest; border
     // pairs for non-core rows. Only pairs with a core endpoint matter,
@@ -488,13 +500,16 @@ pub fn dbscan_matrix(points: &PointMatrix, cfg: &DbscanConfig, threads: usize) -
         }
     }
     let labels = rank_of.iter().map(|&r| rank_labels[r as usize]).collect();
-
-    record_cluster_metrics(n, &stats, started);
-    DbscanResult {
+    let counts = rank_of
+        .iter()
+        .map(|&r| totals[r as usize].min(saturated))
+        .collect();
+    let result = DbscanResult {
         labels,
         num_clusters,
         stats,
-    }
+    };
+    (result, counts)
 }
 
 /// Publishes one run's counters to the process-wide registry (no-op while
@@ -637,9 +652,9 @@ pub fn dbscan_sampled<R: Rng>(
 }
 
 /// [`dbscan_sampled`] over flat storage with `threads` workers: the sample
-/// is clustered by the exact parallel engine, sample cores are determined
-/// with banded parallel region queries, and the remaining points are
-/// assigned in parallel against a band index over just the core points.
+/// is clustered by the exact parallel engine, whose neighbour counts also
+/// give the sample's cores, and the remaining points are assigned in
+/// parallel against a band index over just the core points.
 ///
 /// Points within `eps` of a sampled core point join that core's cluster
 /// (nearest core wins; ties go to the earlier core in sample order, same
@@ -654,6 +669,7 @@ pub fn dbscan_sampled_matrix<R: Rng>(
     threads: usize,
     rng: &mut R,
 ) -> DbscanResult {
+    let started = Instant::now();
     let n = points.len();
     if n <= max_sample {
         return dbscan_matrix(points, cfg, threads);
@@ -662,49 +678,22 @@ pub fn dbscan_sampled_matrix<R: Rng>(
     indices.shuffle(rng);
     indices.truncate(max_sample);
     let sample = points.gather(&indices);
-    let sample_result = dbscan_matrix(&sample, cfg, threads);
-    let mut stats = sample_result.stats;
 
-    // Core points of the sample: points whose sample-neighbourhood reaches
-    // min_pts (scaled down by the sampling ratio, at least 2).
-    let eps2 = cfg.eps * cfg.eps;
+    // Core points of the sample: labelled points whose sample-neighbourhood
+    // reaches min_pts scaled down by the sampling ratio (at least 2). The
+    // engine's counts are exact up to the cap, which covers both
+    // thresholds, so they answer this without a second walk of the band.
     let scaled_min = ((cfg.min_pts * max_sample) as f64 / n as f64).ceil() as usize;
     let scaled_min = scaled_min.max(2);
-    let sample_index = BandIndex::build(&sample, cfg.eps);
-    // As in `dbscan_matrix`: a key-ordered blocked copy, so every band
-    // scan streams contiguous rows. The per-pair arithmetic is identical,
-    // so the flags (and with them the labels) don't change.
-    let sample_rows =
-        BlockedRows::gather(&sample, sample_index.order().iter().map(|&i| i as usize));
-    let dist_evals = AtomicU64::new(0);
-    let sample_ranges = worker_ranges(sample.len(), threads);
-    let core_flags = forum_par::parallel_map(&sample_ranges, sample_ranges.len(), |&(lo, hi)| {
-        let mut flags = Vec::with_capacity(hi - lo);
-        let mut evals = 0u64;
-        for si in lo..hi {
-            if sample_result.labels[si].is_none() {
-                flags.push(false);
-                continue;
-            }
-            let row = sample.row(si);
-            let q = Query::of(row);
-            let mut count = 0usize;
-            for c in sample_index.band_range(sample_index.key_of(row)) {
-                evals += 1;
-                if sample_rows.sq_dist_bounded(&q, c, eps2).is_some() {
-                    count += 1;
-                }
-            }
-            flags.push(count >= scaled_min);
-        }
-        dist_evals.fetch_add(evals, Ordering::Relaxed);
-        flags
-    });
-    stats.region_queries += sample.len() as u64;
+    let (sample_result, counts) =
+        dbscan_counted(&sample, cfg, threads, cfg.min_pts.max(scaled_min));
+    let mut stats = sample_result.stats;
     let mut cores: Vec<(u32, u32)> = Vec::new(); // (sample idx, cluster)
-    for (si, is_core) in core_flags.into_iter().flatten().enumerate() {
-        if is_core {
-            cores.push((si as u32, sample_result.labels[si].unwrap() as u32));
+    for (si, (label, &count)) in sample_result.labels.iter().zip(&counts).enumerate() {
+        if let Some(cluster) = label {
+            if count as usize >= scaled_min {
+                cores.push((si as u32, *cluster as u32));
+            }
         }
     }
 
@@ -733,6 +722,8 @@ pub fn dbscan_sampled_matrix<R: Rng>(
             .map(|&p| core_samples[p as usize] as usize),
     );
     let rest: Vec<u32> = (0..n as u32).filter(|&i| !in_sample[i as usize]).collect();
+    let eps2 = cfg.eps * cfg.eps;
+    let dist_evals = AtomicU64::new(0);
     let assigned = forum_par::parallel_map(&rest, threads, |&i| {
         let row = points.row(i as usize);
         let q = Query::of(row);
@@ -755,6 +746,7 @@ pub fn dbscan_sampled_matrix<R: Rng>(
     for (&i, label) in rest.iter().zip(assigned) {
         labels[i as usize] = label;
     }
+    record_cluster_metrics(n, &stats, started);
     DbscanResult {
         labels,
         num_clusters: sample_result.num_clusters,

@@ -2,7 +2,7 @@
 
 use forum_cluster::{
     dbscan, dbscan_matrix, dbscan_reference, dbscan_sampled_matrix, kmeans, segment_features,
-    BandIndex, DbscanConfig, DbscanResult, KMeansConfig, PointMatrix,
+    sq_dist_bounded, BandIndex, DbscanConfig, DbscanResult, KMeansConfig, PointMatrix,
 };
 use forum_nlp::cm::DistTables;
 use proptest::prelude::*;
@@ -210,6 +210,37 @@ proptest! {
             cells.iter().map(|&(x, y)| vec![x as f64, y as f64]).collect();
         assert_engines_match_reference(&points, &DbscanConfig { eps, min_pts })?;
     }
+
+    /// The sampled path takes its sample's cores from the exact run's own
+    /// neighbour counts; the two-walk pass that recounted them over a
+    /// second band walk gives the same labels bit for bit, at every thread
+    /// count, with duplicates, NaN rows and `min_pts` below, at and above
+    /// the scaled threshold.
+    #[test]
+    fn sampled_cores_match_the_two_walk_pass(
+        cells in proptest::collection::vec((0u8..6, 0u8..6, 0u8..5), 2..220),
+        max_sample in 1usize..200,
+        eps in 0.3f64..1.6,
+        min_pts in 0usize..14,
+        seed in 0u64..1000,
+    ) {
+        let points: Vec<Vec<f64>> = cells
+            .iter()
+            .map(|&(x, y, v)| match v {
+                0 => vec![f64::NAN, y as f64 * 0.5],
+                _ => vec![x as f64 * 0.5, y as f64 * 0.5],
+            })
+            .collect();
+        let matrix = PointMatrix::from_rows(&points);
+        let cfg = DbscanConfig { eps, min_pts };
+        let expected = sampled_two_walk(&matrix, &cfg, max_sample, &mut StdRng::seed_from_u64(seed));
+        for threads in [1usize, 2, 4] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let got = dbscan_sampled_matrix(&matrix, &cfg, max_sample, threads, &mut rng);
+            prop_assert_eq!(&got.labels, &expected.labels, "{} threads", threads);
+            prop_assert_eq!(got.num_clusters, expected.num_clusters);
+        }
+    }
 }
 
 /// The engine at 1/2/4/8 threads and the sampled entry point with a
@@ -247,6 +278,79 @@ fn all_identical_input_matches_reference() {
     }
     let matrix = PointMatrix::from_rows(&points);
     assert!(!BandIndex::build(&matrix, 0.5).uses_axis());
+}
+
+/// The sampled path as it was before the exact run's counts gave the
+/// sample's cores: cluster the sample, then recount every labelled sample
+/// point's eps-neighbours over a full two-sided band walk of the sample,
+/// then assign the rest to the nearest in-eps core (ties to the earlier
+/// core). The oracle for [`dbscan_sampled_matrix`].
+fn sampled_two_walk(
+    points: &PointMatrix,
+    cfg: &DbscanConfig,
+    max_sample: usize,
+    rng: &mut StdRng,
+) -> DbscanResult {
+    use rand::seq::SliceRandom;
+    let n = points.len();
+    if n <= max_sample {
+        return dbscan_matrix(points, cfg, 1);
+    }
+    let mut indices: Vec<usize> = (0..n).collect();
+    indices.shuffle(rng);
+    indices.truncate(max_sample);
+    let sample = points.gather(&indices);
+    let sample_result = dbscan_matrix(&sample, cfg, 1);
+    let eps2 = cfg.eps * cfg.eps;
+    let scaled_min = ((cfg.min_pts * max_sample) as f64 / n as f64).ceil() as usize;
+    let scaled_min = scaled_min.max(2);
+    let sample_index = BandIndex::build(&sample, cfg.eps);
+    let mut cores: Vec<(u32, usize)> = Vec::new();
+    for si in 0..sample.len() {
+        let Some(cluster) = sample_result.labels[si] else {
+            continue;
+        };
+        let row = sample.row(si);
+        let count = sample_index
+            .band_range(sample_index.key_of(row))
+            .filter(|&c| {
+                let other = sample.row(sample_index.order()[c] as usize);
+                sq_dist_bounded(row, other, eps2).is_some()
+            })
+            .count();
+        if count >= scaled_min {
+            cores.push((si as u32, cluster));
+        }
+    }
+    let mut labels = vec![None; n];
+    for (&orig, label) in indices.iter().zip(&sample_result.labels) {
+        labels[orig] = *label;
+    }
+    let core_samples: Vec<u32> = cores.iter().map(|&(si, _)| si).collect();
+    let core_index = BandIndex::build_over(&sample, &core_samples, cfg.eps);
+    let mut in_sample = vec![false; n];
+    for &i in &indices {
+        in_sample[i] = true;
+    }
+    for i in (0..n).filter(|&i| !in_sample[i]) {
+        let row = points.row(i);
+        let mut best: Option<(f64, u32)> = None;
+        for c in core_index.band_range(core_index.key_of(row)) {
+            let p = core_index.order()[c];
+            let core = sample.row(core_samples[p as usize] as usize);
+            if let Some(d) = sq_dist_bounded(row, core, eps2) {
+                if best.is_none_or(|(bd, bp)| d < bd || (d == bd && p < bp)) {
+                    best = Some((d, p));
+                }
+            }
+        }
+        labels[i] = best.map(|(_, p)| cores[p as usize].1);
+    }
+    DbscanResult {
+        labels,
+        num_clusters: sample_result.num_clusters,
+        stats: sample_result.stats,
+    }
 }
 
 #[test]

@@ -30,7 +30,8 @@ use std::time::Instant;
 /// The last compacted state: what `intentmatch::store` persists.
 #[derive(Debug)]
 pub struct BaseState {
-    /// The parsed, CM-annotated posts of the snapshot.
+    /// The parsed posts of the snapshot. Posts restored from the store
+    /// file are CM-annotated only on demand; serving never asks.
     pub collection: PostCollection,
     /// The built pipeline over them.
     pub pipeline: IntentPipeline,

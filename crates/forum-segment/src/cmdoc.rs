@@ -4,26 +4,39 @@
 //! tables and their prefix sums, so the segmentation strategies can obtain
 //! the table of *any* sentence range in O(1). This matters: the bottom-up
 //! strategies re-score candidate segments many times per pass.
+//!
+//! The CM annotation is computed at most once per document, on first use.
+//! [`CmDoc::new`] computes it up front (building and ingesting segment
+//! every post); [`CmDoc::parsed`] leaves it until a table is asked for,
+//! which a document restored from a store never does: retrieval reads
+//! only its terms.
 
 use forum_nlp::cm::{annotate_document, DistTables, SentenceCm};
 use forum_text::{Document, Segment};
+use std::sync::OnceLock;
 
 /// A document plus its CM annotation, ready for segmentation.
 #[derive(Debug, Clone)]
 pub struct CmDoc {
     /// The underlying parsed document.
     pub doc: Document,
-    /// Per-sentence CM annotation, one entry per sentence.
-    pub sentences: Vec<SentenceCm>,
+    /// The CM annotation, computed on first use.
+    cm: OnceLock<Annotation>,
+}
+
+/// Per-sentence CM annotation and its prefix sums.
+#[derive(Debug, Clone)]
+struct Annotation {
+    /// One entry per sentence.
+    sentences: Vec<SentenceCm>,
     /// `prefix[i]` = sum of sentence tables `0..i`; `prefix.len() ==
     /// sentences.len() + 1`.
     prefix: Vec<DistTables>,
 }
 
-impl CmDoc {
-    /// Annotates `doc` and builds prefix sums.
-    pub fn new(doc: Document) -> Self {
-        let sentences = annotate_document(&doc);
+impl Annotation {
+    fn of(doc: &Document) -> Self {
+        let sentences = annotate_document(doc);
         let mut prefix = Vec::with_capacity(sentences.len() + 1);
         let mut acc = DistTables::default();
         prefix.push(acc);
@@ -31,24 +44,49 @@ impl CmDoc {
             acc.add_assign(&s.tables);
             prefix.push(acc);
         }
+        Annotation { sentences, prefix }
+    }
+}
+
+impl CmDoc {
+    /// Annotates `doc` and builds prefix sums.
+    pub fn new(doc: Document) -> Self {
+        let cmdoc = Self::parsed(doc);
+        cmdoc.cm();
+        cmdoc
+    }
+
+    /// Wraps `doc` without annotating it; the annotation is computed the
+    /// first time a table or [`Self::sentences`] is asked for, and is then
+    /// identical to the one [`Self::new`] computes.
+    pub fn parsed(doc: Document) -> Self {
         CmDoc {
             doc,
-            sentences,
-            prefix,
+            cm: OnceLock::new(),
         }
     }
 
-    /// Number of text units (sentences).
+    fn cm(&self) -> &Annotation {
+        self.cm.get_or_init(|| Annotation::of(&self.doc))
+    }
+
+    /// Per-sentence CM annotation, one entry per sentence.
+    pub fn sentences(&self) -> &[SentenceCm] {
+        &self.cm().sentences
+    }
+
+    /// Number of text units (sentences). Never computes the annotation.
     #[inline]
     pub fn num_units(&self) -> usize {
-        self.sentences.len()
+        self.doc.sentences.len()
     }
 
     /// Distribution tables of the sentence range `[first, end)`.
     #[inline]
     pub fn tables(&self, first: usize, end: usize) -> DistTables {
-        debug_assert!(first <= end && end < self.prefix.len());
-        self.prefix[end].sub(&self.prefix[first])
+        let prefix = &self.cm().prefix;
+        debug_assert!(first <= end && end < prefix.len());
+        prefix[end].sub(&prefix[first])
     }
 
     /// Distribution tables of a [`Segment`].
@@ -79,7 +117,7 @@ mod tests {
         assert_eq!(d.num_units(), 4);
         for first in 0..4 {
             for end in first..=4 {
-                let direct = DistTables::sum(d.sentences[first..end].iter().map(|s| &s.tables));
+                let direct = DistTables::sum(d.sentences()[first..end].iter().map(|s| &s.tables));
                 assert_eq!(d.tables(first, end), direct, "range [{first}, {end})");
             }
         }
@@ -89,6 +127,15 @@ mod tests {
     fn whole_equals_full_range() {
         let d = cmdoc("One sentence here. Another one there.");
         assert_eq!(d.whole(), d.tables(0, 2));
+    }
+
+    #[test]
+    fn parsed_doc_annotates_on_first_table() {
+        let d = CmDoc::parsed(Document::parse_clean(DocId(0), "One here. Two there."));
+        assert_eq!(d.num_units(), 2);
+        assert!(d.cm.get().is_none(), "counting units must not annotate");
+        assert_eq!(d.whole(), cmdoc("One here. Two there.").whole());
+        assert!(d.cm.get().is_some());
     }
 
     #[test]

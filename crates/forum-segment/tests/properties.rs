@@ -217,3 +217,97 @@ mod scoring_properties {
         }
     }
 }
+
+mod lazy_annotation {
+    use forum_segment::CmDoc;
+    use forum_text::{document::DocId, Document};
+    use proptest::prelude::*;
+
+    const WORDS: [&str; 24] = [
+        "I",
+        "you",
+        "they",
+        "we",
+        "tried",
+        "will",
+        "was",
+        "installed",
+        "is",
+        "not",
+        "never",
+        "why",
+        "how",
+        "the",
+        "disk",
+        "printer",
+        "works",
+        "failed",
+        "by",
+        "help",
+        "running",
+        "quickly",
+        "new",
+        "old",
+    ];
+
+    /// A post of zero to six sentences over a vocabulary that exercises
+    /// every CM (tenses, persons, questions, negation, passives): each
+    /// sentence is word indices plus a terminator.
+    fn post(sentences: &[(Vec<usize>, u8)]) -> String {
+        let sentences: Vec<String> = sentences
+            .iter()
+            .map(|(words, end)| {
+                let words: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                format!("{}{}", words.join(" "), [".", "?", "!"][*end as usize])
+            })
+            .collect();
+        sentences.join(" ")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A document annotated on demand gives exactly what an eagerly
+        /// annotated one gives: the same units, per-sentence tables, range
+        /// tables for every range, and whole-document tables.
+        #[test]
+        fn lazy_annotation_equals_eager(
+            sentences in proptest::collection::vec(
+                (proptest::collection::vec(0usize..24, 1..9), 0u8..3), 0..7),
+            whole_first in 0u8..2,
+        ) {
+            let text = post(&sentences);
+            let eager = CmDoc::new(Document::parse_clean(DocId(0), &text));
+            let lazy = CmDoc::parsed(Document::parse_clean(DocId(0), &text));
+            let n = eager.num_units();
+            prop_assert_eq!(lazy.num_units(), n);
+            if whole_first == 1 {
+                prop_assert_eq!(lazy.whole(), eager.whole());
+            }
+            prop_assert_eq!(lazy.sentences().len(), eager.sentences().len());
+            for (l, e) in lazy.sentences().iter().zip(eager.sentences()) {
+                prop_assert_eq!(l.tables, e.tables);
+                prop_assert_eq!(l.num_words, e.num_words);
+            }
+            for first in 0..=n {
+                for end in first..=n {
+                    prop_assert_eq!(lazy.tables(first, end), eager.tables(first, end));
+                }
+            }
+            prop_assert_eq!(lazy.whole(), eager.whole());
+            prop_assert_eq!(lazy.num_units(), n);
+        }
+    }
+
+    /// The edge cases by name: an empty post and a one-sentence post.
+    #[test]
+    fn empty_and_single_sentence_posts_annotate_alike() {
+        for text in ["", "Why will the printer not work?"] {
+            let eager = CmDoc::new(Document::parse_clean(DocId(0), text));
+            let lazy = CmDoc::parsed(Document::parse_clean(DocId(0), text));
+            assert_eq!(lazy.num_units(), eager.num_units());
+            assert_eq!(lazy.whole(), eager.whole());
+            assert_eq!(lazy.sentences().len(), eager.sentences().len());
+        }
+    }
+}

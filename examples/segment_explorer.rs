@@ -28,7 +28,7 @@ fn main() {
         "{:<4} {:<22} {:<12} {:<12} {:<12} {:<9} {:<12}",
         "sent", "text", "tense(p/pa/f)", "subj(1/2/3)", "qneg(i/n/a)", "voice(p/a)", "pos(v/n/aj)"
     );
-    for (i, s) in cmdoc.sentences.iter().enumerate() {
+    for (i, s) in cmdoc.sentences().iter().enumerate() {
         let span = cmdoc.doc.sentences[i].span;
         let text: String = span.slice(&cmdoc.doc.text).chars().take(20).collect();
         let t = &s.tables;
