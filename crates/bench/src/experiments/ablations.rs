@@ -691,7 +691,8 @@ pub fn drift(opts: &Options) {
 /// Ablation: Algorithm 2's top-n truncation vs the exact weighted-sum
 /// top-k via Fagin's threshold algorithm (Section 7's cited alternative).
 pub fn combination(opts: &Options) {
-    use intentmatch::{exact_top_k, IntentPipeline, PipelineConfig};
+    use super::fagin::exact_top_k;
+    use intentmatch::{IntentPipeline, PipelineConfig};
     header("Ablation — Algorithm 2 (top-n lists) vs exact top-k (threshold algorithm)");
     let mut rows = Vec::new();
     for domain in Domain::ALL {
@@ -735,263 +736,4 @@ pub fn combination(opts: &Options) {
     );
     println!("\nThe paper chose top-n with n = 2k; the exact aggregation rarely changes the");
     println!("top-5 because high-scoring documents already crack some per-intention top-n.");
-}
-
-/// Observability: instrumentation overhead of the always-present forum-obs
-/// hooks, measured as the same offline build with the process-wide registry
-/// disabled (the default — one relaxed atomic load per hook) vs enabled
-/// (full counters, histograms, and spans). The forum-obs acceptance gate is
-/// < 5% overhead on the segmentation phase.
-pub fn obs_overhead(opts: &Options) {
-    use intentmatch::{IntentPipeline, PipelineConfig, PostCollection};
-    use std::time::Duration;
-    header("Observability — forum-obs overhead (registry disabled vs enabled)");
-    let obs = forum_obs::Registry::global();
-    let was_enabled = obs.is_enabled();
-    let corpus = opts.corpus(Domain::TechSupport, 600.min(opts.posts));
-    let coll = PostCollection::from_corpus(&corpus);
-    let cfg = PipelineConfig::default();
-    const REPS: usize = 5;
-    // Best-of-REPS per mode: the minimum is the least noisy estimator for
-    // a deterministic computation under scheduler jitter.
-    let mut best = [(Duration::MAX, Duration::MAX); 2];
-    for (mode, enabled) in [(0usize, false), (1, true)] {
-        obs.set_enabled(enabled);
-        for _ in 0..REPS {
-            let pipe = IntentPipeline::build(&coll, &cfg);
-            best[mode].0 = best[mode].0.min(pipe.timings.segmentation);
-            best[mode].1 = best[mode].1.min(pipe.timings.total());
-        }
-    }
-    obs.set_enabled(was_enabled);
-    let pct = |on: Duration, off: Duration| (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0;
-    let seg = pct(best[1].0, best[0].0);
-    let total = pct(best[1].1, best[0].1);
-    print_table(
-        &[
-            "registry",
-            "segmentation (best of 5)",
-            "full build (best of 5)",
-        ],
-        &[
-            vec![
-                "disabled".to_string(),
-                format!("{:?}", best[0].0),
-                format!("{:?}", best[0].1),
-            ],
-            vec![
-                "enabled".to_string(),
-                format!("{:?}", best[1].0),
-                format!("{:?}", best[1].1),
-            ],
-            vec![
-                "overhead".to_string(),
-                format!("{seg:+.2}%"),
-                format!("{total:+.2}%"),
-            ],
-        ],
-    );
-    let verdict = if seg < 5.0 { "PASS" } else { "FAIL" };
-    println!("\nsegmentation-phase overhead {seg:+.2}% vs the < 5% gate: {verdict}");
-    println!("(phase spans cost two clock reads per phase; the per-worker hook fires once");
-    println!("per chunk, so per-document costs are untouched.)");
-
-    // The serving-side read path: what one /metrics scrape costs. Populate
-    // a realistic registry (the build above already recorded the offline
-    // phases; add a spread of latency observations), then time snapshotting
-    // with percentile estimation and the Prometheus text render.
-    obs.set_enabled(true);
-    for i in 0..10_000u64 {
-        obs.record("serve/online_query_ns", (i % 997) * 1_000 + 120);
-    }
-    let mut best_snap = Duration::MAX;
-    let mut best_render = Duration::MAX;
-    let mut samples = 0usize;
-    for _ in 0..REPS {
-        let t = std::time::Instant::now();
-        let snap = obs.snapshot();
-        // Percentiles are computed per histogram at read time; include them
-        // in the snapshot cost like the JSON export does.
-        let mut acc = 0.0f64;
-        for m in &snap.metrics {
-            if let forum_obs::MetricValue::Histogram(h) = &m.value {
-                acc += h.p50_est() + h.p90_est() + h.p99_est();
-            }
-        }
-        std::hint::black_box(acc);
-        best_snap = best_snap.min(t.elapsed());
-        let t = std::time::Instant::now();
-        let text = forum_obs::prometheus::render(&snap);
-        best_render = best_render.min(t.elapsed());
-        samples = forum_obs::prometheus::validate_exposition(&text).unwrap_or(0);
-    }
-    obs.set_enabled(was_enabled);
-    println!("\nscrape path (best of {REPS}): snapshot+percentiles {best_snap:?}, ");
-    println!("prometheus render {best_render:?} ({samples} samples) — read-side only,");
-    println!("never on the query or ingest hot path.");
-
-    // The background sampler (PR 9): a thread scraping the registry into
-    // in-process time-series on a short period while the single-threaded
-    // query loop runs. Modes are interleaved inside each rep so clock
-    // drift and cache warmth hit both equally; the gate is < 1% because
-    // the sampler never touches the query path — it only reads the same
-    // atomics the handlers bump.
-    use forum_obs::json::Json;
-    use forum_obs::{Sampler, TimeSeries};
-    use intentmatch::QueryEngine;
-    use std::sync::Arc;
-    use std::time::Instant;
-    obs.set_enabled(true);
-    let pipe = IntentPipeline::build(&coll, &cfg);
-    let engine = QueryEngine::new(&coll, &pipe).with_threads(1);
-    let queries = opts.queries.min(coll.len()).max(1);
-    const SREPS: usize = 7;
-    let run_queries = |passes: usize| {
-        for _ in 0..passes {
-            for q in 0..queries {
-                std::hint::black_box(engine.try_top_k(q, 5, None).expect("query must not panic"));
-            }
-        }
-    };
-    // Size each timed segment to ~40 ms so a 1% difference is well above
-    // timer and scheduler noise, whatever the corpus size.
-    let warmup = Instant::now();
-    run_queries(1);
-    let per_pass = warmup.elapsed().max(Duration::from_micros(1));
-    let passes = (Duration::from_millis(40).as_nanos() / per_pass.as_nanos()).max(1) as usize;
-    let mut best_off = Duration::MAX;
-    let mut best_on = Duration::MAX;
-    let mut sampler_samples = 0u64;
-    for rep in 0..SREPS {
-        // Alternate which mode goes first so warmth and drift cancel.
-        for leg in 0..2 {
-            let sampled = (rep + leg) % 2 == 1;
-            if sampled {
-                let ts = Arc::new(TimeSeries::new());
-                let sampler = Sampler::builder(Duration::from_millis(1)).spawn(ts);
-                let t = Instant::now();
-                run_queries(passes);
-                best_on = best_on.min(t.elapsed());
-                sampler_samples += sampler.samples_taken();
-            } else {
-                let t = Instant::now();
-                run_queries(passes);
-                best_off = best_off.min(t.elapsed());
-            }
-        }
-    }
-    obs.set_enabled(was_enabled);
-    let sampler_pct = pct(best_on, best_off);
-    println!(
-        "\nsampler overhead over {queries} queries (best of {SREPS}, interleaved): \
-         off {best_off:?}, on {best_on:?} ({sampler_pct:+.2}%, {sampler_samples} \
-         background samples taken)"
-    );
-    let sampler_verdict = if sampler_pct < 1.0 { "PASS" } else { "FAIL" };
-    println!("sampler overhead {sampler_pct:+.2}% vs the < 1% gate: {sampler_verdict}");
-
-    let report = Json::obj()
-        .with("experiment", "obs_overhead")
-        .with("posts", coll.len() as u64)
-        .with("queries", queries as u64)
-        .with("registry_segmentation_overhead_pct", seg)
-        .with("registry_total_overhead_pct", total)
-        .with("snapshot_ns", best_snap.as_nanos() as u64)
-        .with("render_ns", best_render.as_nanos() as u64)
-        .with("exposition_samples", samples as u64)
-        .with("sampler_off_ns", best_off.as_nanos() as u64)
-        .with("sampler_on_ns", best_on.as_nanos() as u64)
-        .with("sampler_overhead_pct", sampler_pct)
-        .with("sampler_background_samples", sampler_samples)
-        .with("sampler_gate_pct", 1.0)
-        .with("sampler_verdict", sampler_verdict);
-    let path = "BENCH_obs.json";
-    match std::fs::write(path, format!("{report}\n")) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("error: could not write {path}: {e}"),
-    }
-}
-
-/// Observability: per-query overhead of request tracing, measured on the
-/// online path — the engine's sequential Algorithm 2 scan with no trace vs
-/// with a full [`forum_obs::Trace`] lifecycle (begin, `engine/algo2` span
-/// with cost counters, record into a sampling [`forum_obs::TraceStore`]).
-/// The tentpole's acceptance gate is < 5% p50 per-query overhead with
-/// sampling enabled, and rankings must be bit-identical either way.
-pub fn trace_overhead(opts: &Options) {
-    use forum_obs::{Trace, TraceStore};
-    use intentmatch::{IntentPipeline, PipelineConfig, PostCollection, QueryEngine};
-    use std::time::{Duration, Instant};
-    header("Observability — request-tracing overhead (no trace vs sampled traces)");
-    let corpus = opts.corpus(Domain::TechSupport, 600.min(opts.posts));
-    let coll = PostCollection::from_corpus(&corpus);
-    let pipe = IntentPipeline::build(&coll, &PipelineConfig::default());
-    let engine = QueryEngine::new(&coll, &pipe).with_threads(1);
-    let queries = opts.queries.min(coll.len());
-    // A local store, configured like a production server: bounded rings,
-    // 1-in-16 sampling, slow log armed but never tripped here.
-    let store = TraceStore::new(256, 64);
-    store.set_sample_every(16);
-
-    // Bit-identity gate first: tracing must never move a result bit.
-    for q in 0..queries {
-        let untraced = engine.try_top_k(q, 5, None).expect("query must not panic");
-        let mut t = Trace::begin("query", None);
-        let traced = engine
-            .try_top_k(q, 5, Some(&mut t))
-            .expect("query must not panic");
-        store.record(t);
-        let identical = untraced.len() == traced.len()
-            && untraced
-                .iter()
-                .zip(&traced)
-                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-        assert!(identical, "query {q}: tracing changed the ranking");
-    }
-
-    const REPS: usize = 7;
-    let median = |mut v: Vec<Duration>| -> Duration {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    // Best-of-REPS p50 per mode, with the modes interleaved inside each
-    // rep so clock-frequency drift and cache warmth hit both equally (a
-    // sequential off-then-on layout charges all late-run throttling to the
-    // traced mode). The minimum median is the least noisy estimator for a
-    // deterministic computation under scheduler jitter.
-    let mut best = [Duration::MAX; 2];
-    for _ in 0..REPS {
-        for (mode, traced) in [(0usize, false), (1, true)] {
-            let mut lat = Vec::with_capacity(queries);
-            for q in 0..queries {
-                let started = Instant::now();
-                if traced {
-                    let mut t = Trace::begin("query", None);
-                    std::hint::black_box(engine.try_top_k(q, 5, Some(&mut t)).unwrap());
-                    store.record(t);
-                } else {
-                    std::hint::black_box(engine.try_top_k(q, 5, None).unwrap());
-                }
-                lat.push(started.elapsed());
-            }
-            best[mode] = best[mode].min(median(lat));
-        }
-    }
-    let pct = (best[1].as_secs_f64() / best[0].as_secs_f64() - 1.0) * 100.0;
-    print_table(
-        &["tracing", "per-query p50 (best of 7)"],
-        &[
-            vec!["off".to_string(), format!("{:?}", best[0])],
-            vec!["on (1-in-16 sample)".to_string(), format!("{:?}", best[1])],
-            vec!["overhead".to_string(), format!("{pct:+.2}%")],
-        ],
-    );
-    let verdict = if pct < 5.0 { "PASS" } else { "FAIL" };
-    println!("\nper-query p50 overhead {pct:+.2}% vs the < 5% gate: {verdict}");
-    println!(
-        "({} queries over {} posts; cost counters ride the scan unconditionally —",
-        queries,
-        coll.len()
-    );
-    println!("the traced path only adds span clock reads and one sampled ring insert.)");
 }

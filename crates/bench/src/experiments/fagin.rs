@@ -16,13 +16,10 @@
 //! never cracks a per-intention top-n can be missed) at the cost of deeper
 //! list access.
 
-use crate::collection::PostCollection;
-use crate::engine::scan_to_trace_costs;
-use crate::pipeline::{query_cluster_groups, ClusterIndex, IntentPipeline, RefinedSegment};
-use forum_index::{ScanCosts, ScoreScratch, SegmentIndex, WeightingScheme};
-use forum_obs::Trace;
+use forum_index::{ScoreScratch, SegmentIndex, WeightingScheme};
+use intentmatch::pipeline::{cluster_weight_for_terms, query_cluster_groups, ranges_terms};
+use intentmatch::{IntentPipeline, PostCollection};
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 /// One intention's contribution for a given query: its weight, an *exact
 /// prefix* of its ranked list (sorted access), and enough context to
@@ -45,20 +42,34 @@ struct IntentionList<'a> {
     exhausted: bool,
     index: &'a SegmentIndex,
     query: Vec<(String, u32)>,
+    scheme: WeightingScheme,
+    /// The query document, never listed.
+    exclude: u32,
 }
 
 impl IntentionList<'_> {
+    /// Replaces the prefix with the exact top-`want` page. Owner
+    /// aggregation keeps each document's best unit, so `by_doc` has
+    /// exactly one entry per document.
+    fn fetch(&mut self, want: usize, scratch: &mut ScoreScratch) {
+        let hits = self.index.top_owners_excluding_filtered(
+            &self.query,
+            want,
+            self.scheme,
+            Some(self.exclude),
+            &HashSet::new(),
+            None,
+            scratch,
+        );
+        self.exhausted = hits.len() < want;
+        self.by_doc = hits.iter().copied().collect();
+        self.sorted = hits;
+    }
+
     /// Re-scans the intention with a larger page until the prefix covers
     /// `depth` or the list runs dry. Each page is exact, so the prefix is
     /// always a true ranking prefix.
-    fn ensure_depth(
-        &mut self,
-        depth: usize,
-        scheme: WeightingScheme,
-        exclude: u32,
-        scratch: &mut ScoreScratch,
-        deepenings: &mut u64,
-    ) {
+    fn ensure_depth(&mut self, depth: usize, scratch: &mut ScoreScratch) {
         while self.sorted.len() <= depth && !self.exhausted {
             let want = self
                 .sorted
@@ -66,24 +77,12 @@ impl IntentionList<'_> {
                 .max(16)
                 .saturating_mul(2)
                 .max(depth.saturating_add(1));
-            let hits = self.index.top_owners_excluding_filtered(
-                &self.query,
-                want,
-                scheme,
-                Some(exclude),
-                &HashSet::new(),
-                None,
-                scratch,
-            );
-            self.exhausted = hits.len() < want;
-            self.by_doc = hits.iter().copied().collect();
-            self.sorted = hits;
-            *deepenings += 1;
+            self.fetch(want, scratch);
         }
     }
 
     /// The document's exact score in this intention (0 when it has none).
-    fn random_access(&self, doc: u32, scheme: WeightingScheme) -> f64 {
+    fn random_access(&self, doc: u32) -> f64 {
         if let Some(&s) = self.by_doc.get(&doc) {
             return s;
         }
@@ -91,7 +90,7 @@ impl IntentionList<'_> {
             return 0.0;
         }
         self.index
-            .score_owner(&self.query, scheme, doc)
+            .score_owner(&self.query, self.scheme, doc)
             .unwrap_or(0.0)
     }
 }
@@ -99,129 +98,61 @@ impl IntentionList<'_> {
 /// Builds the per-intention lists for query document `q`, fetching an
 /// exact top-`initial` prefix of each (`usize::MAX` materializes the full
 /// lists, as the brute-force oracle does).
-#[allow(clippy::too_many_arguments)] // private plumbing for two call sites
 fn intention_lists<'a>(
     collection: &PostCollection,
-    doc_segments: &[Vec<RefinedSegment>],
-    clusters: &'a [ClusterIndex],
+    pipeline: &'a IntentPipeline,
     q: usize,
-    weighted: bool,
-    scheme: WeightingScheme,
     initial: usize,
-    costs: &mut ScanCosts,
 ) -> Vec<IntentionList<'a>> {
     let mut lists = Vec::new();
     // One scratch across the per-cluster scans: `accumulate_scores` resets
-    // it per query, so scores are bit-identical to fresh allocations, and
-    // the scan-work counters accumulate across every consulted cluster.
+    // it per query, so scores are bit-identical to fresh allocations.
     let mut scratch = ScoreScratch::new();
     // One list per *distinct* consulted cluster (see `query_cluster_groups`)
     // so no intention is counted twice under the `skip_refinement` ablation.
-    for group in query_cluster_groups(doc_segments, q) {
-        let mut terms = Vec::new();
-        for &(a, b) in &group.ranges {
-            terms.extend(collection.docs[q].doc.terms_in_sentences(a, b));
-        }
+    for group in query_cluster_groups(&pipeline.doc_segments, q) {
+        let terms = ranges_terms(collection, q, &group.ranges);
         if terms.is_empty() {
             continue;
         }
-        let index = &clusters[group.cluster].index;
-        let weight = if weighted {
-            let mut distinct: Vec<&str> = terms.iter().map(String::as_str).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let mean = distinct.iter().map(|t| index.idf(t)).sum::<f64>() / distinct.len() as f64;
-            mean * mean
+        let index = &pipeline.clusters[group.cluster].index;
+        let weight = if pipeline.weighted_combination {
+            cluster_weight_for_terms(index, &terms)
         } else {
             1.0
         };
         if weight <= 0.0 {
             continue;
         }
-        let query = SegmentIndex::query_from_terms(&terms);
-        // Exact top-`initial` per-owner prefix, sorted descending. Owner
-        // aggregation keeps each document's best unit, so `by_doc` has
-        // exactly one entry per document.
-        let sorted: Vec<(u32, f64)> = index.top_owners_excluding_filtered(
-            &query,
-            initial,
-            scheme,
-            Some(q as u32),
-            &HashSet::new(),
-            None,
-            &mut scratch,
-        );
-        let exhausted = sorted.len() < initial;
-        let by_doc = sorted.iter().copied().collect();
-        lists.push(IntentionList {
+        let mut list = IntentionList {
             weight,
-            sorted,
-            by_doc,
-            exhausted,
+            sorted: Vec::new(),
+            by_doc: HashMap::new(),
+            exhausted: false,
             index,
-            query,
-        });
+            query: SegmentIndex::query_from_terms(&terms),
+            scheme: pipeline.weighting,
+            exclude: q as u32,
+        };
+        list.fetch(initial, &mut scratch);
+        lists.push(list);
     }
-    costs.merge(&scratch.costs.take());
     lists
 }
 
 /// The exact top-k documents related to `q` under the weighted sum of
 /// per-intention scores, via the threshold algorithm.
-///
-/// Observability (process-wide registry): one `online/fagin_queries` count
-/// per call, the number of frontier rounds in `online/fagin_rounds`, sorted
-/// accesses in `online/fagin_sorted_accesses`, and latency in
-/// `online/fagin_ns`.
 pub fn exact_top_k(
     collection: &PostCollection,
     pipeline: &IntentPipeline,
     q: usize,
     k: usize,
 ) -> Vec<(u32, f64)> {
-    exact_top_k_traced(collection, pipeline, q, k, None)
-}
-
-/// [`exact_top_k`] recording `fagin/lists` (list construction with its
-/// scan-work counters) and `fagin/rounds` (the TA loop; sorted accesses
-/// count as postings scanned) spans into `trace` when one is supplied.
-/// Results are bit-identical with or without a trace.
-pub fn exact_top_k_traced(
-    collection: &PostCollection,
-    pipeline: &IntentPipeline,
-    q: usize,
-    k: usize,
-    mut trace: Option<&mut Trace>,
-) -> Vec<(u32, f64)> {
-    let obs = forum_obs::Registry::global();
-    let timer = obs.is_enabled().then(std::time::Instant::now);
-    let mut sorted_accesses = 0u64;
-    let mut deepenings = 0u64;
-    let scheme = pipeline.weighting;
-    let list_start = Instant::now();
-    let mut scan_costs = ScanCosts::default();
     // Initial prefix: a few pages of k. Deep enough that most queries
     // resolve without deepening, shallow enough that the index's early
     // termination has a real floor to prune against.
     let initial = k.max(1).saturating_mul(4).max(16);
-    let mut lists = intention_lists(
-        collection,
-        &pipeline.doc_segments,
-        &pipeline.clusters,
-        q,
-        pipeline.weighted_combination,
-        scheme,
-        initial,
-        &mut scan_costs,
-    );
-    if let Some(t) = trace.as_deref_mut() {
-        t.push_span(
-            "fagin/lists",
-            list_start,
-            scan_to_trace_costs(scan_costs, lists.len() as u64),
-        );
-    }
-    let round_start = Instant::now();
+    let mut lists = intention_lists(collection, pipeline, q, initial);
     if lists.is_empty() {
         return Vec::new();
     }
@@ -234,7 +165,7 @@ pub fn exact_top_k_traced(
         // A prefix that ran out while the underlying list still has owners
         // must deepen before the frontier can be trusted as a bound.
         for l in &mut lists {
-            l.ensure_depth(depth, scheme, q as u32, &mut round_scratch, &mut deepenings);
+            l.ensure_depth(depth, &mut round_scratch);
         }
         // Threshold: the weighted sum of the scores at the current frontier
         // (an exhausted list contributes 0 — every document outside it
@@ -256,14 +187,10 @@ pub fn exact_top_k_traced(
             let Some(&(doc, _)) = lists[i].sorted.get(depth) else {
                 continue;
             };
-            sorted_accesses += 1;
             if !seen.insert(doc) {
                 continue;
             }
-            let score: f64 = lists
-                .iter()
-                .map(|l| l.weight * l.random_access(doc, scheme))
-                .sum();
+            let score: f64 = lists.iter().map(|l| l.weight * l.random_access(doc)).sum();
             let pos = best
                 .binary_search_by(|probe| {
                     score
@@ -282,26 +209,14 @@ pub fn exact_top_k_traced(
         depth += 1;
     }
     best.truncate(k);
-    if let Some(t) = trace {
-        let mut round_costs = scan_to_trace_costs(round_scratch.costs.take(), 0);
-        round_costs.postings_scanned += sorted_accesses;
-        t.push_span("fagin/rounds", round_start, round_costs);
-    }
-    if let Some(t) = timer {
-        obs.incr("online/fagin_queries", 1);
-        obs.incr("online/fagin_sorted_accesses", sorted_accesses);
-        obs.incr("online/fagin_deepenings", deepenings);
-        obs.record("online/fagin_rounds", depth as u64 + 1);
-        obs.record_duration("online/fagin_ns", t.elapsed());
-    }
     best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineConfig;
     use forum_corpus::{Corpus, Domain, GenConfig};
+    use intentmatch::PipelineConfig;
 
     fn setup() -> (PostCollection, IntentPipeline) {
         let corpus = Corpus::generate(&GenConfig {
@@ -321,16 +236,7 @@ mod tests {
         q: usize,
         k: usize,
     ) -> Vec<(u32, f64)> {
-        let lists = intention_lists(
-            collection,
-            &pipeline.doc_segments,
-            &pipeline.clusters,
-            q,
-            pipeline.weighted_combination,
-            pipeline.weighting,
-            usize::MAX,
-            &mut ScanCosts::default(),
-        );
+        let lists = intention_lists(collection, pipeline, q, usize::MAX);
         let mut acc: HashMap<u32, f64> = HashMap::new();
         for l in &lists {
             for &(doc, s) in &l.sorted {
@@ -363,29 +269,10 @@ mod tests {
         // every query outrun its prefix and re-scan deeper. Results must
         // still match the full-list TA exactly.
         let (coll, pipe) = setup();
-        let mut costs = ScanCosts::default();
-        let mut deepenings = 0u64;
+        let mut deepened = false;
         for q in [0usize, 5, 33, 120] {
-            let mut shallow = intention_lists(
-                &coll,
-                &pipe.doc_segments,
-                &pipe.clusters,
-                q,
-                pipe.weighted_combination,
-                pipe.weighting,
-                1,
-                &mut costs,
-            );
-            let full = intention_lists(
-                &coll,
-                &pipe.doc_segments,
-                &pipe.clusters,
-                q,
-                pipe.weighted_combination,
-                pipe.weighting,
-                usize::MAX,
-                &mut costs,
-            );
+            let mut shallow = intention_lists(&coll, &pipe, q, 1);
+            let full = intention_lists(&coll, &pipe, q, usize::MAX);
             let mut scratch = ScoreScratch::new();
             for (s, f) in shallow.iter_mut().zip(&full) {
                 // Every prefix is a true ranking prefix...
@@ -393,7 +280,7 @@ mod tests {
                 // ...random access is bit-identical to the full list...
                 for &(doc, score) in f.sorted.iter().take(40) {
                     assert_eq!(
-                        s.random_access(doc, pipe.weighting).to_bits(),
+                        s.random_access(doc).to_bits(),
                         score.to_bits(),
                         "q={q} doc={doc}"
                     );
@@ -401,18 +288,13 @@ mod tests {
                 // ...and deepening to any depth reproduces the full list.
                 let want = f.sorted.len().min(25);
                 if want > 0 {
-                    s.ensure_depth(
-                        want - 1,
-                        pipe.weighting,
-                        q as u32,
-                        &mut scratch,
-                        &mut deepenings,
-                    );
+                    s.ensure_depth(want - 1, &mut scratch);
                     assert_eq!(s.sorted[..want], f.sorted[..want]);
+                    deepened |= want > 1;
                 }
             }
         }
-        assert!(deepenings > 0, "prefix of 1 must force deepening");
+        assert!(deepened, "prefix of 1 must force deepening");
     }
 
     #[test]
@@ -432,5 +314,40 @@ mod tests {
         for w in hits.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
+    }
+
+    /// TA's answers are stable under a deeper request: the exact top-k of
+    /// a query is a prefix — documents, scores and order — of its exact
+    /// top-2k. Both runs ride the same pruned per-intention prefix pages
+    /// (and the deepening that extends them), so a page that were not an
+    /// exact ranking prefix would show up here as a top-k that disagrees
+    /// with the head of the top-2k.
+    #[test]
+    fn top_k_is_a_prefix_of_top_2k() {
+        let corpus = Corpus::generate(&GenConfig {
+            domain: Domain::TechSupport,
+            num_posts: 300,
+            seed: 20180417,
+        });
+        let coll = PostCollection::from_corpus(&corpus);
+        let pipe = IntentPipeline::build(&coll, &PipelineConfig::default());
+        let k = 5;
+        let mut answered = 0usize;
+        for q in 0..40 {
+            let top_k = exact_top_k(&coll, &pipe, q, k);
+            let top_2k = exact_top_k(&coll, &pipe, q, 2 * k);
+            assert!(top_2k.len() >= top_k.len(), "query {q}");
+            let bits = |hits: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&top_k),
+                bits(&top_2k[..top_k.len()]),
+                "TA top-{k} is not a prefix of top-{} for query {q}",
+                2 * k
+            );
+            answered += usize::from(!top_k.is_empty());
+        }
+        assert!(answered > 20, "too few queries found anything: {answered}");
     }
 }

@@ -48,9 +48,6 @@
 //!   (Tables 4 & 5, Fig. 10).
 //! * [`store`] — persistence: save/load the entire offline build so a
 //!   process can restart straight into the online matching phase.
-//! * [`fagin`] — the exact top-k combination via Fagin's threshold
-//!   algorithm, the alternative to Algorithm 2's top-n lists that the
-//!   paper cites.
 //! * [`explain`] — per-query EXPLAIN traces: which intention clusters a
 //!   query consulted, each cluster's candidates and combination weight,
 //!   and why each result ranked where.
@@ -71,7 +68,6 @@ pub mod collection;
 pub mod engine;
 pub mod eval;
 pub mod explain;
-pub mod fagin;
 pub mod methods;
 pub mod pipeline;
 pub mod store;
@@ -87,7 +83,6 @@ pub use collection::PostCollection;
 pub use engine::QueryEngine;
 pub use eval::{evaluate_method, EvalConfig, MethodEval};
 pub use explain::{explain_top_k, QueryExplain};
-pub use fagin::{exact_top_k, exact_top_k_traced};
 pub use methods::{ContentMrMatcher, FullTextMatcher, LdaMatcher, Matcher, MethodKind, MrMatcher};
 pub use pipeline::{BuildTimings, IntentPipeline, PipelineConfig};
 pub use store::{load as load_pipeline, save as save_pipeline, StoreError};

@@ -3,10 +3,10 @@
 //! Zero-dependency metrics, tracing, and export layer threaded through the
 //! offline pipeline (parse → CM annotation → border selection → feature
 //! extraction → DBSCAN → refinement → indexing), the online query path
-//! (per-cluster Algorithm 1 scans, Fagin iterations, Algorithm 2
-//! combination), and the live ingestion subsystem (`forum-ingest` records
-//! the `ingest/*` family: add/update/delete counters, WAL append and
-//! compaction latencies, the serving-epoch gauge). Three pieces:
+//! (per-cluster Algorithm 1 scans, Algorithm 2 combination), and the live
+//! ingestion subsystem (`forum-ingest` records the `ingest/*` family:
+//! add/update/delete counters, WAL append and compaction latencies, the
+//! serving-epoch gauge). Three pieces:
 //!
 //! * [`Registry`] — thread-safe named counters, gauges, and log₂-bucketed
 //!   latency histograms, all backed by atomics. A disabled registry costs

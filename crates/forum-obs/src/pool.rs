@@ -26,8 +26,7 @@
 //! Metrics (process-wide [`Registry`]): `serve/shed_total` (every `503`
 //! shed, all causes), `serve/queue_depth` (gauge), `serve/queue_wait_ns`
 //! (admission → worker pickup), `serve/request_total_ns` (admission →
-//! response written, queueing included — the histogram the `serve_scale`
-//! bench reads its p50/p99 from).
+//! response written, queueing included).
 
 use crate::registry::Registry;
 use crate::serve::{
@@ -501,6 +500,41 @@ mod tests {
         // Only the slow request reached the handler — a shed request never
         // executes any part of a dispatch.
         assert_eq!(hits.load(Ordering::SeqCst), 1);
+        stopper.stop();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn request_head_sent_after_the_deadline_is_shed_before_dispatch() {
+        // An idle worker picks the connection up at once, well inside the
+        // 150 ms deadline, then waits in the read for the request head. The
+        // client sends it only after the deadline has passed: the worker
+        // must shed it with 503 + Retry-After and never call the handler.
+        let hits = Arc::new(AtomicUsize::new(0));
+        let handler_hits = hits.clone();
+        let server = PoolServer::bind("127.0.0.1:0")
+            .unwrap()
+            .with_workers(1)
+            .with_deadline(Duration::from_millis(150));
+        let (addr, stopper, join) = spawn_pool(server, move |_req| {
+            handler_hits.fetch_add(1, Ordering::SeqCst);
+            Response::text(200, "dispatched")
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        stream.write_all(b"GET /late HTTP/1.1\r\n\r\n").unwrap();
+        let mut out = String::new();
+        let _ = stream.read_to_string(&mut out);
+        assert_eq!(status_of(&out), 503, "late request head not shed: {out:?}");
+        assert!(
+            out.to_ascii_lowercase().contains("retry-after:"),
+            "shed 503 must carry Retry-After: {out:?}"
+        );
+        assert!(out.contains("deadline exceeded before dispatch"), "{out:?}");
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
         stopper.stop();
         join.join().unwrap();
     }

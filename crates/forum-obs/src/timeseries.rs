@@ -25,8 +25,7 @@
 //! [`Registry::snapshot`] path, integrates with the serving tier's
 //! [`Stopper`] for graceful shutdown (a stop request mid-wait exits
 //! *without* taking a partial sample), and records its own cost under
-//! `obs/sample_ns` so the overhead gate in the `obs_overhead` bench can
-//! hold it under 1%.
+//! `obs/sample_ns`, so a scrape shows what sampling costs.
 
 use crate::registry::{HistogramSnapshot, MetricValue, Registry, Snapshot};
 use crate::serve::Stopper;
