@@ -136,10 +136,10 @@ pub fn decode(bytes: &[u8]) -> Result<(PostCollection, IntentPipeline), StoreErr
     r.magic(MAGIC)?;
     let version = r.u32("store version")?;
     if version != VERSION {
-        return Err(StoreError::Decode(DecodeError {
-            context: "unsupported store version",
-            offset: r.position(),
-        }));
+        return Err(StoreError::Decode(DecodeError::at(
+            "unsupported store version",
+            r.position(),
+        )));
     }
 
     // Every `with_capacity` below pre-allocates at most what the remaining
@@ -168,10 +168,10 @@ pub fn decode(bytes: &[u8]) -> Result<(PostCollection, IntentPipeline), StoreErr
             // `Segmentation::from_borders` asserts these invariants; a
             // corrupt file must fail with an error, not a panic.
             if b < 1 || b >= units {
-                return Err(StoreError::Decode(DecodeError {
-                    context: "border out of range",
-                    offset: r.position(),
-                }));
+                return Err(StoreError::Decode(DecodeError::at(
+                    "border out of range",
+                    r.position(),
+                )));
             }
             borders.push(b);
         }

@@ -1,34 +1,50 @@
-//! Store format v2: a zero-copy, mmap-able on-disk layout.
+//! The sectioned store format: a zero-copy, mmap-able on-disk layout.
 //!
 //! v1 ([`crate::store::encode`]) is a single sequential stream — loading
 //! it means decoding *everything* before the first query can run, so
 //! restart cost and resident memory scale with corpus size rather than
-//! working set. v2 instead writes a fixed-width header plus a **section
-//! directory** (per-section kind/offset/length/FNV-1a checksum) and puts
-//! every hot array in a fixed-width, 8-byte-aligned section that is
-//! directly addressable from a memory map:
+//! working set. The sectioned format (magic `IMP2`) instead writes a
+//! fixed-width header plus a **section directory** (per-section
+//! kind/offset/length/checksum) and puts every hot array in a
+//! fixed-width, 8-byte-aligned section that is directly addressable from
+//! a memory map:
 //!
 //! | offset | bytes | field |
 //! |-------:|------:|-------|
 //! | 0      | 4     | magic `"IMP2"` |
-//! | 4      | 4     | version (`2`, u32 LE) |
+//! | 4      | 4     | store version (`3`, u32 LE) |
 //! | 8      | 8     | directory offset |
 //! | 16     | 8     | directory length in bytes |
-//! | 24     | 8     | FNV-1a checksum of the directory bytes |
+//! | 24     | 8     | checksum of the directory bytes |
 //! | 32     | 4     | section count |
 //! | 36     | 4     | document count |
 //! | 40     | 4     | cluster count |
 //! | 44     | 4     | flags (bit 0 = weighted combination) |
 //! | 48     | 4     | noise-segment count |
 //! | 52     | 4     | reserved (0) |
-//! | 56     | 8     | FNV-1a checksum of header bytes 0..56 |
+//! | 56     | 8     | checksum of header bytes 0..56 |
+//!
+//! The store version selects the checksum and the cluster layout:
+//!
+//! * **version 3** (the only one written): every checksum — header,
+//!   directory, each section — is XXH64 with seed 0 ([`xxh64`]), and
+//!   each cluster section is a version-2 `FIX2` index whose postings are
+//!   stored in impact order, so loading a cluster is a linear copy and
+//!   check.
+//! * **version 2** (read only; `intentmatch migrate` rewrites it): every
+//!   checksum is byte-serial FNV-1a ([`fnv1a`]) and the cluster sections
+//!   are version-1 `FIX2` indices in unit order, sorted into impact
+//!   order when loaded.
+//!
+//! Any other version is refused.
 //!
 //! Each 32-byte directory entry is `{kind u32, index u32, offset u64,
 //! len u64, checksum u64}`. Section `offset`s are 8-byte aligned (the
 //! inter-section padding is *excluded* from `len` and `checksum`), so the
 //! f64 centroid rows and the fixed-width `FIX2` cluster records
 //! ([`forum_index::flat`]) can be reinterpreted in place from a map whose
-//! base is page-aligned.
+//! base is page-aligned. Every section is verified in full on its first
+//! touch.
 //!
 //! Section kinds:
 //! * `META` (1) — per-cluster `{units u32, vocab u32, postings u64,
@@ -45,10 +61,10 @@
 //!   intention cluster, lazily materialized on first consultation.
 //!
 //! [`save_v2`] streams sections straight to the temp file through a
-//! running checksum (`FileEmit`) — peak save memory no longer scales
-//! with store size — then writes the directory, patches the real header
-//! over the placeholder, fsyncs and renames (same crash-atomicity
-//! contract as v1).
+//! running XXH64 (`FileEmit`) — peak save memory does not scale with
+//! store size — then writes the directory, patches the real header over
+//! the placeholder, fsyncs and renames (same crash-atomicity contract as
+//! v1).
 
 use crate::collection::PostCollection;
 use crate::pipeline::IntentPipeline;
@@ -58,10 +74,14 @@ use forum_index::flat::encode_flat;
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
-/// v2 magic tag.
+/// Magic tag of the sectioned format (store versions 2 and 3).
 pub const V2_MAGIC: &[u8; 4] = b"IMP2";
-/// v2 format version.
-pub const V2_VERSION: u32 = 2;
+/// The store version this build writes: XXH64 checksums, impact-ordered
+/// cluster sections.
+pub const STORE_VERSION: u32 = 3;
+/// The older sectioned version, read only: FNV-1a checksums, unit-ordered
+/// cluster sections.
+pub const STORE_VERSION_FNV: u32 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_BYTES: usize = 64;
 /// Size of one directory entry in bytes.
@@ -88,28 +108,176 @@ pub mod kind {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Extends a running FNV-1a hash with `bytes`.
-pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a of `bytes` from the standard offset basis.
+/// FNV-1a (64-bit) of `bytes`: the checksum of store version 2, kept for
+/// reading those stores.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, bytes)
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    })
 }
 
-/// The fixed-width v2 header.
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+#[inline]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+#[inline]
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+#[inline]
+fn read_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// Streaming XXH64 with seed 0, implemented from the public
+/// specification (xxHash, `doc/xxhash_spec.md`). Feeding bytes in any
+/// split gives the same digest as [`xxh64`] over their concatenation.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    /// The four stripe accumulators.
+    acc: [u64; 4],
+    /// Bytes of a stripe not yet complete.
+    buf: [u8; 32],
+    buf_len: usize,
+    /// Bytes fed so far.
+    total: u64,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Xxh64 {
+            acc: [
+                XXH_P1.wrapping_add(XXH_P2),
+                XXH_P2,
+                0,
+                0u64.wrapping_sub(XXH_P1),
+            ],
+            buf: [0; 32],
+            buf_len: 0,
+            total: 0,
+        }
+    }
+}
+
+impl Xxh64 {
+    /// A fresh hash (seed 0).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    #[inline]
+    fn stripe(acc: &mut [u64; 4], stripe: &[u8]) {
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = xxh_round(*a, read_u64(&stripe[8 * i..]));
+        }
+    }
+
+    /// Feeds `bytes`.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.buf_len > 0 {
+            let take = (32 - self.buf_len).min(bytes.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&bytes[..take]);
+            self.buf_len += take;
+            bytes = &bytes[take..];
+            if self.buf_len < 32 {
+                return;
+            }
+            Self::stripe(&mut self.acc, &self.buf);
+            self.buf_len = 0;
+        }
+        let mut stripes = bytes.chunks_exact(32);
+        for s in &mut stripes {
+            Self::stripe(&mut self.acc, s);
+        }
+        let tail = stripes.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
+    }
+
+    /// The digest of everything fed so far.
+    pub fn digest(&self) -> u64 {
+        let mut h = if self.total >= 32 {
+            let [a, b, c, d] = self.acc;
+            let h = a
+                .rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18));
+            self.acc.iter().fold(h, |h, &acc| xxh_merge(h, acc))
+        } else {
+            XXH_P5
+        };
+        h = h.wrapping_add(self.total);
+        let mut tail = &self.buf[..self.buf_len];
+        while tail.len() >= 8 {
+            h = (h ^ xxh_round(0, read_u64(tail)))
+                .rotate_left(27)
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let lane = u64::from(u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")));
+            h = (h ^ lane.wrapping_mul(XXH_P1))
+                .rotate_left(23)
+                .wrapping_mul(XXH_P2)
+                .wrapping_add(XXH_P3);
+            tail = &tail[4..];
+        }
+        for &byte in tail {
+            h = (h ^ u64::from(byte).wrapping_mul(XXH_P5))
+                .rotate_left(11)
+                .wrapping_mul(XXH_P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// XXH64 (seed 0) of `bytes`: the checksum of store version 3.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = Xxh64::new();
+    h.update(bytes);
+    h.digest()
+}
+
+/// The checksum store version `version` uses: XXH64 for version 3,
+/// FNV-1a for version 2.
+pub fn checksum(version: u32, bytes: &[u8]) -> u64 {
+    if version == STORE_VERSION_FNV {
+        fnv1a(bytes)
+    } else {
+        xxh64(bytes)
+    }
+}
+
+/// The fixed-width header of a sectioned store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct V2Header {
+    /// Store version: [`STORE_VERSION`] or [`STORE_VERSION_FNV`]. It
+    /// selects the checksum of the directory and of every section.
+    pub version: u32,
     /// Byte offset of the section directory.
     pub dir_offset: u64,
     /// Directory length in bytes (`section_count × 32`).
     pub dir_len: u64,
-    /// FNV-1a checksum of the directory bytes.
+    /// Checksum of the directory bytes.
     pub dir_checksum: u64,
     /// Number of directory entries.
     pub section_count: u32,
@@ -128,6 +296,11 @@ impl V2Header {
     pub fn weighted_combination(&self) -> bool {
         self.flags & FLAG_WEIGHTED != 0
     }
+
+    /// The checksum of `bytes` under this store's version.
+    pub fn checksum(&self, bytes: &[u8]) -> u64 {
+        checksum(self.version, bytes)
+    }
 }
 
 /// One 32-byte directory entry.
@@ -141,7 +314,7 @@ pub struct SectionEntry {
     pub offset: u64,
     /// Exact payload length in bytes (inter-section padding excluded).
     pub len: u64,
-    /// FNV-1a checksum of the payload bytes.
+    /// Checksum of the payload bytes.
     pub checksum: u64,
 }
 
@@ -177,11 +350,12 @@ fn format_err(msg: impl Into<String>) -> StoreError {
     StoreError::Format(msg.into())
 }
 
-/// Encodes the 64-byte header (computing the trailing header checksum).
+/// Encodes the 64-byte header (computing the trailing header checksum
+/// under `h.version`).
 pub fn encode_header(h: &V2Header) -> [u8; HEADER_BYTES] {
     let mut out = [0u8; HEADER_BYTES];
     out[0..4].copy_from_slice(V2_MAGIC);
-    out[4..8].copy_from_slice(&V2_VERSION.to_le_bytes());
+    out[4..8].copy_from_slice(&h.version.to_le_bytes());
     out[8..16].copy_from_slice(&h.dir_offset.to_le_bytes());
     out[16..24].copy_from_slice(&h.dir_len.to_le_bytes());
     out[24..32].copy_from_slice(&h.dir_checksum.to_le_bytes());
@@ -191,13 +365,13 @@ pub fn encode_header(h: &V2Header) -> [u8; HEADER_BYTES] {
     out[44..48].copy_from_slice(&h.flags.to_le_bytes());
     out[48..52].copy_from_slice(&h.num_noise.to_le_bytes());
     // bytes 52..56 reserved, zero.
-    let checksum = fnv1a(&out[0..56]);
+    let checksum = checksum(h.version, &out[0..56]);
     out[56..64].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
-/// Parses and validates the 64-byte header: magic, version, and the
-/// header checksum.
+/// Parses and validates the 64-byte header: magic, version (2 or 3), and
+/// the header checksum under that version.
 pub fn parse_header(bytes: &[u8]) -> Result<V2Header, StoreError> {
     if bytes.len() < HEADER_BYTES {
         return Err(format_err(format!(
@@ -212,19 +386,18 @@ pub fn parse_header(bytes: &[u8]) -> Result<V2Header, StoreError> {
     let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
     let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
     let version = u32_at(4);
-    if version != V2_VERSION {
-        return Err(format_err(format!(
-            "unsupported v2 store version {version}"
-        )));
+    if version != STORE_VERSION && version != STORE_VERSION_FNV {
+        return Err(format_err(format!("unsupported store version {version}")));
     }
     let stored = u64_at(56);
-    let computed = fnv1a(&bytes[0..56]);
+    let computed = checksum(version, &bytes[0..56]);
     if stored != computed {
         return Err(format_err(format!(
             "header checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
         )));
     }
     Ok(V2Header {
+        version,
         dir_offset: u64_at(8),
         dir_len: u64_at(16),
         dir_checksum: u64_at(24),
@@ -357,14 +530,14 @@ pub fn decode_meta(bytes: &[u8], num_clusters: usize) -> Result<Vec<ClusterMeta>
     Ok(out)
 }
 
-/// A buffered file sink implementing [`Emit`] with a running FNV-1a
+/// A buffered file sink implementing [`Emit`] with a running XXH64
 /// checksum and byte position, stashing the first I/O error so encode
 /// code stays infallible. Sections stream through this without ever
 /// materializing the whole store in memory.
 struct FileEmit {
     w: std::io::BufWriter<std::fs::File>,
     pos: u64,
-    hash: u64,
+    hash: Xxh64,
     err: Option<std::io::Error>,
 }
 
@@ -373,7 +546,7 @@ impl Emit for FileEmit {
         if self.err.is_some() {
             return;
         }
-        self.hash = fnv1a_extend(self.hash, b);
+        self.hash.update(b);
         if let Err(e) = self.w.write_all(b) {
             self.err = Some(e);
             return;
@@ -387,7 +560,7 @@ impl FileEmit {
         FileEmit {
             w: std::io::BufWriter::new(f),
             pos: 0,
-            hash: FNV_OFFSET,
+            hash: Xxh64::new(),
             err: None,
         }
     }
@@ -407,14 +580,14 @@ impl FileEmit {
     fn section(&mut self, kind: u32, index: u32, body: impl FnOnce(&mut Self)) -> SectionEntry {
         self.pad_to_8();
         let offset = self.pos;
-        self.hash = FNV_OFFSET;
+        self.hash = Xxh64::new();
         body(self);
         SectionEntry {
             kind,
             index,
             offset,
             len: self.pos - offset,
-            checksum: self.hash,
+            checksum: self.hash.digest(),
         }
     }
 
@@ -430,7 +603,8 @@ impl FileEmit {
     }
 }
 
-/// Saves the built state as a v2 store, atomically: sections stream to a
+/// Saves the built state as a store of version [`STORE_VERSION`],
+/// atomically: sections stream to a
 /// same-directory temp file through a running checksum, the directory and
 /// patched header follow, then fsync + rename publish the result. A crash
 /// or failure at any point leaves either the previous file intact or the
@@ -556,7 +730,7 @@ fn write_v2(
         }
     }));
 
-    // One flat FIX2 index per cluster.
+    // One flat FIX2 index per cluster, postings in impact order.
     for (c, cluster) in pipeline.clusters.iter().enumerate() {
         entries.push(emit.section(kind::CLUSTER, c as u32, |e| {
             encode_flat(&cluster.index, e);
@@ -575,11 +749,12 @@ fn write_v2(
         dw.u64(e.checksum);
     }
     let dir_bytes = dw.into_bytes();
-    let dir_checksum = fnv1a(&dir_bytes);
+    let dir_checksum = xxh64(&dir_bytes);
     emit.bytes(&dir_bytes);
 
     // Patch the real header over the placeholder and publish.
     let header = encode_header(&V2Header {
+        version: STORE_VERSION,
         dir_offset,
         dir_len: dir_bytes.len() as u64,
         dir_checksum,
@@ -614,7 +789,8 @@ pub struct LayoutAudit {
     pub problems: Vec<String>,
 }
 
-/// Audits a v2 store's byte-level layout: header and directory checksums,
+/// Audits a sectioned store's byte-level layout: header and directory
+/// checksums (under the header's version),
 /// every section checksum, offsets in bounds, 8-byte alignment, and no
 /// unaccounted trailing bytes. Collects problems instead of failing fast
 /// so `intentmatch doctor` can report them all.
@@ -651,7 +827,7 @@ pub fn audit_layout(bytes: &[u8]) -> LayoutAudit {
         ));
     }
     let dir_bytes = &bytes[header.dir_offset as usize..dir_end as usize];
-    let computed = fnv1a(dir_bytes);
+    let computed = header.checksum(dir_bytes);
     if computed != header.dir_checksum {
         audit.problems.push(format!(
             "directory checksum mismatch: stored {:#018x}, computed {computed:#018x}",
@@ -675,7 +851,7 @@ pub fn audit_layout(bytes: &[u8]) -> LayoutAudit {
             continue; // already reported by validate_directory
         };
         let payload = &bytes[e.offset as usize..end as usize];
-        let computed = fnv1a(payload);
+        let computed = header.checksum(payload);
         if computed != e.checksum {
             audit.problems.push(format!(
                 "section {} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
@@ -695,6 +871,7 @@ mod tests {
     #[test]
     fn header_roundtrip() {
         let h = V2Header {
+            version: STORE_VERSION,
             dir_offset: 4096,
             dir_len: 320,
             dir_checksum: 0xdead_beef,
@@ -712,7 +889,32 @@ mod tests {
 
     #[test]
     fn header_flip_any_byte_is_detected() {
+        for version in [STORE_VERSION, STORE_VERSION_FNV] {
+            let h = V2Header {
+                version,
+                dir_offset: 64,
+                dir_len: 32,
+                dir_checksum: 1,
+                section_count: 1,
+                num_docs: 2,
+                num_clusters: 1,
+                flags: 0,
+                num_noise: 0,
+            };
+            let good = encode_header(&h);
+            assert_eq!(parse_header(&good).expect("parse"), h);
+            for i in 0..HEADER_BYTES {
+                let mut evil = good;
+                evil[i] ^= 0x01;
+                assert!(parse_header(&evil).is_err(), "version {version} byte {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn header_checksum_follows_the_version() {
         let h = V2Header {
+            version: STORE_VERSION,
             dir_offset: 64,
             dir_len: 32,
             dir_checksum: 1,
@@ -722,11 +924,25 @@ mod tests {
             flags: 0,
             num_noise: 0,
         };
-        let good = encode_header(&h);
-        for i in 0..HEADER_BYTES {
-            let mut evil = good;
-            evil[i] ^= 0x01;
-            assert!(parse_header(&evil).is_err(), "byte {i}");
+        let v3 = encode_header(&h);
+        assert_eq!(v3[56..64], xxh64(&v3[0..56]).to_le_bytes());
+        let v2 = encode_header(&V2Header {
+            version: STORE_VERSION_FNV,
+            ..h
+        });
+        assert_eq!(v2[56..64], fnv1a(&v2[0..56]).to_le_bytes());
+        // A version-3 header stamped with FNV-1a, and any other version
+        // stamped with either checksum, is refused.
+        let mut fnv_stamped = v3;
+        fnv_stamped[56..64].copy_from_slice(&fnv1a(&v3[0..56]).to_le_bytes());
+        assert!(parse_header(&fnv_stamped).is_err());
+        for version in [0u32, 1, 4, u32::MAX] {
+            let mut other = v3;
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            for stamp in [xxh64(&other[0..56]), fnv1a(&other[0..56])] {
+                other[56..64].copy_from_slice(&stamp.to_le_bytes());
+                assert!(parse_header(&other).is_err(), "version {version}");
+            }
         }
     }
 
@@ -739,8 +955,46 @@ mod tests {
     }
 
     #[test]
+    fn xxh64_matches_published_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        // 39 bytes: one full stripe, then an 8-byte-free tail of 4 + 3.
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    #[test]
+    fn streaming_xxh64_equals_one_shot_over_random_splits() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let data: Vec<u8> = (0..1000).map(|_| next() as u8).collect();
+        for len in [0usize, 1, 3, 4, 7, 8, 31, 32, 33, 63, 64, 65, 200, 1000] {
+            let want = xxh64(&data[..len]);
+            for _ in 0..20 {
+                let mut h = Xxh64::new();
+                let mut rest = &data[..len];
+                while !rest.is_empty() {
+                    let cut = (next() as usize % 40).min(rest.len());
+                    h.update(&rest[..cut]);
+                    rest = &rest[cut..];
+                }
+                assert_eq!(h.digest(), want, "len {len}");
+            }
+        }
+    }
+
+    #[test]
     fn directory_roundtrip_and_validation() {
         let header = V2Header {
+            version: STORE_VERSION,
             dir_offset: 128,
             dir_len: (6 * DIR_ENTRY_BYTES) as u64,
             dir_checksum: 0,

@@ -1,4 +1,5 @@
-//! `StoreView`: lazy, zero-copy access to a v2 store file.
+//! `StoreView`: lazy, zero-copy access to a sectioned (`IMP2`) store
+//! file of store version 2 or 3.
 //!
 //! [`StoreView::open`] reads only the 64-byte header, the section
 //! directory, and the small per-cluster `META` records — O(header), not
@@ -29,9 +30,7 @@ use crate::pipeline::{
     HeapMr, IntentPipeline, QueryScratch, RefinedSegment, ScanSpec,
 };
 use crate::store::StoreError;
-use crate::store_v2::{
-    self, fnv1a, ClusterMeta, SectionEntry, V2Header, DIR_ENTRY_BYTES, HEADER_BYTES,
-};
+use crate::store_v2::{self, ClusterMeta, SectionEntry, V2Header, DIR_ENTRY_BYTES, HEADER_BYTES};
 use forum_index::flat::FlatIndexView;
 use forum_index::{SegmentIndex, WeightingScheme};
 use forum_obs::Registry;
@@ -247,7 +246,7 @@ struct OffsetTable {
 
 type Cached<T> = OnceLock<Result<T, String>>;
 
-/// Lazy, checksum-verified access to a v2 store file.
+/// Lazy, checksum-verified access to a sectioned store file.
 ///
 /// Open is O(header); every section is verified and materialized on first
 /// touch and stays resident. Safe to share across threads (`Sync`): the
@@ -293,12 +292,12 @@ impl std::fmt::Debug for StoreView {
 }
 
 impl StoreView {
-    /// Opens a v2 store, mapping it when possible.
+    /// Opens a sectioned store, mapping it when possible.
     pub fn open(path: &Path) -> Result<StoreView, StoreError> {
         Self::open_with(path, BackingMode::Auto)
     }
 
-    /// Opens a v2 store with an explicit backing choice.
+    /// Opens a sectioned store with an explicit backing choice.
     pub fn open_with(path: &Path, mode: BackingMode) -> Result<StoreView, StoreError> {
         Self::open_inner(path, mode, true)
     }
@@ -347,7 +346,7 @@ impl StoreView {
             )));
         }
         let dir_bytes = read_backing(&backing, file_len, header.dir_offset, header.dir_len)?;
-        let computed = fnv1a(&dir_bytes);
+        let computed = header.checksum(&dir_bytes);
         if computed != header.dir_checksum {
             return Err(format_err(format!(
                 "directory checksum mismatch: stored {:#018x}, computed {computed:#018x}",
@@ -362,7 +361,7 @@ impl StoreView {
         // `stats` answers without touching anything else.
         let meta_entry = sections[singles[0]];
         let meta_bytes = read_backing(&backing, file_len, meta_entry.offset, meta_entry.len)?;
-        if fnv1a(&meta_bytes) != meta_entry.checksum {
+        if header.checksum(&meta_bytes) != meta_entry.checksum {
             return Err(format_err("META section checksum mismatch"));
         }
         let meta = store_v2::decode_meta(&meta_bytes, header.num_clusters as usize)?;
@@ -496,7 +495,7 @@ impl StoreView {
                 Ok(d) => d,
                 Err(err) => return Err(format!("section {}: {err}", e.describe())),
             };
-            let computed = fnv1a(&data);
+            let computed = self.header.checksum(&data);
             if computed != e.checksum {
                 return Err(format!(
                     "section {} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
@@ -640,7 +639,9 @@ impl StoreView {
     }
 
     /// Parses + materializes cluster `c` fresh (used by the lazy cache and
-    /// by full hydration), cross-checking the `META` record.
+    /// by full hydration), cross-checking the `META` record. A decode
+    /// failure names the cluster (and, for a bad postings list, the
+    /// term).
     pub(crate) fn materialize_cluster(&self, c: usize) -> Result<SegmentIndex, StoreError> {
         let bytes = self.section_bytes(self.cluster_pos[c])?;
         let flat = FlatIndexView::parse(&bytes)?;
@@ -653,7 +654,8 @@ impl StoreView {
                 "cluster {c} flat index disagrees with META record"
             )));
         }
-        Ok(flat.materialize()?)
+        flat.materialize()
+            .map_err(|e| format_err(format!("cluster {c}: {e}")))
     }
 
     /// Decodes all raw (pre-refinement) segmentations — full hydration
@@ -817,7 +819,7 @@ fn decode_doc_segments_record(
     Ok(segs)
 }
 
-/// Fully hydrates a v2 store into the heap structures [`crate::store::load`]
+/// Fully hydrates a sectioned store into the heap structures [`crate::store::load`]
 /// returns — every section verified and decoded.
 pub(crate) fn hydrate(view: &StoreView) -> Result<(PostCollection, IntentPipeline), StoreError> {
     let mut docs = Vec::with_capacity(view.num_docs());

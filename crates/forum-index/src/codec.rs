@@ -10,13 +10,40 @@ use std::fmt;
 pub struct DecodeError {
     /// What the decoder was reading when it failed.
     pub context: &'static str,
-    /// Byte offset of the failure.
+    /// Byte offset of the failure (for a [`Self::term`] error, the
+    /// term's id).
     pub offset: usize,
+    /// The term whose postings list failed a structural check, when the
+    /// failure is one list's rather than a byte position's.
+    pub term: Option<u32>,
+}
+
+impl DecodeError {
+    /// An error at byte `offset`.
+    pub fn at(context: &'static str, offset: usize) -> Self {
+        DecodeError {
+            context,
+            offset,
+            term: None,
+        }
+    }
+
+    /// An error in the postings list (or text) of term id `term`.
+    pub fn in_term(context: &'static str, term: usize) -> Self {
+        DecodeError {
+            context,
+            offset: term,
+            term: Some(term as u32),
+        }
+    }
 }
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "decode error at byte {}: {}", self.offset, self.context)
+        match self.term {
+            Some(t) => write!(f, "decode error in term {t}: {}", self.context),
+            None => write!(f, "decode error at byte {}: {}", self.offset, self.context),
+        }
     }
 }
 
@@ -63,10 +90,7 @@ impl<'a> Reader<'a> {
 
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], DecodeError> {
         if self.pos + n > self.bytes.len() {
-            return Err(DecodeError {
-                context,
-                offset: self.pos,
-            });
+            return Err(DecodeError::at(context, self.pos));
         }
         let out = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
@@ -94,20 +118,14 @@ impl<'a> Reader<'a> {
     pub fn string(&mut self, context: &'static str) -> Result<String, DecodeError> {
         let len = self.u32(context)? as usize;
         let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError {
-            context,
-            offset: self.pos,
-        })
+        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::at(context, self.pos))
     }
 
     /// Reads a fixed magic tag, failing if it does not match.
     pub fn magic(&mut self, expected: &'static [u8; 4]) -> Result<(), DecodeError> {
         let got = self.take(4, "magic")?;
         if got != expected {
-            return Err(DecodeError {
-                context: "magic mismatch",
-                offset: self.pos - 4,
-            });
+            return Err(DecodeError::at("magic mismatch", self.pos - 4));
         }
         Ok(())
     }

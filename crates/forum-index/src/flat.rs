@@ -1,4 +1,4 @@
-//! The flat, fixed-width cluster-index section of the store v2 format.
+//! The flat, fixed-width cluster-index section of the store format.
 //!
 //! [`SegmentIndex`] serializes two ways: the length-prefixed v1 `SIDX`
 //! stream ([`SegmentIndex::encode`]/[`SegmentIndex::decode`]), which must
@@ -15,7 +15,7 @@
 //! | offset | bytes | field |
 //! |-------:|------:|-------|
 //! | 0      | 4     | magic `FIX2` |
-//! | 4      | 4     | version (1) |
+//! | 4      | 4     | version (1 or 2, see below) |
 //! | 8      | 4     | `n_terms` |
 //! | 12     | 4     | `n_units` |
 //! | 16     | 8     | `n_postings` |
@@ -26,19 +26,31 @@
 //! | …      | 8·P   | postings [`FlatPosting`], grouped per term |
 //! | …      | B     | concatenated UTF-8 term text |
 //!
+//! The version says how each term's postings are ordered:
+//!
+//! * **version 2** (written by [`encode_flat`]; store version 3): impact
+//!   order, caps descending and units ascending on equal caps — the one
+//!   order the index keeps. Caps are not stored: loading recomputes each
+//!   one from the unit statistics and checks that the list is strictly in
+//!   that order, so a load is a linear copy and check.
+//! * **version 1** (store version 2, read only): ascending unit id.
+//!   Loading sorts each list into impact order once.
+//!
 //! [`FlatIndexView::materialize`] rebuilds a [`SegmentIndex`] through the
 //! same `SegmentIndex::from_parts` constructor the v1 decode path uses
-//! (impact sidecars and the owner map are derived identically), so query
-//! results off a materialized cluster are bit-identical to the heap path.
+//! (caps and the owner map are derived identically), so query results
+//! off a materialized cluster are bit-identical to the heap path.
 
 use crate::codec::{DecodeError, Emit};
-use crate::index::{Posting, SegmentIndex, UnitId, UnitStats};
+use crate::index::{Posting, PostingOrder, SegmentIndex, UnitId, UnitStats};
 use forum_text::Vocabulary;
 
 /// Magic tag opening a flat cluster index.
 pub const FLAT_MAGIC: &[u8; 4] = b"FIX2";
-/// Flat layout version.
-pub const FLAT_VERSION: u32 = 1;
+/// Flat layout version [`encode_flat`] writes: postings in impact order.
+pub const FLAT_VERSION: u32 = 2;
+/// The older flat layout version, still read: postings in unit order.
+pub const FLAT_VERSION_UNIT_ORDER: u32 = 1;
 /// Fixed header bytes before the unit array.
 pub const FLAT_HEADER_BYTES: usize = 40;
 
@@ -86,12 +98,12 @@ pub struct FlatPosting {
     pub tf: u32,
 }
 
-/// Serializes `index` in the flat layout. The caller is responsible for
-/// placing the output at an 8-byte-aligned offset (the store v2 writer
-/// aligns every section).
+/// Serializes `index` in the flat layout, version [`FLAT_VERSION`]. The
+/// caller is responsible for placing the output at an 8-byte-aligned
+/// offset (the store writer aligns every section).
 pub fn encode_flat<E: Emit>(index: &SegmentIndex, out: &mut E) {
     let n_terms = index.vocab.len();
-    let n_postings: u64 = index.postings.iter().map(|p| p.len() as u64).sum();
+    let n_postings = index.num_postings() as u64;
     let term_blob_len: u64 = index.vocab.iter().map(|(_, t)| t.len() as u64).sum();
 
     out.magic(FLAT_MAGIC);
@@ -116,10 +128,7 @@ pub fn encode_flat<E: Emit>(index: &SegmentIndex, out: &mut E) {
     let mut post_start = 0u64;
     let mut term_end = 0u64;
     for (id, term) in index.vocab.iter() {
-        let len = index
-            .postings
-            .get(id.as_usize())
-            .map_or(0, |p| p.len() as u64);
+        let len = index.impact_postings(id.as_usize()).len() as u64;
         term_end += term.len() as u64;
         out.u64(post_start);
         out.u32(len as u32);
@@ -127,8 +136,8 @@ pub fn encode_flat<E: Emit>(index: &SegmentIndex, out: &mut E) {
         post_start += len;
     }
 
-    for plist in &index.postings {
-        for p in plist {
+    for t in 0..n_terms {
+        for p in index.impact_postings(t) {
             out.u32(p.unit.0);
             out.u32(p.tf);
         }
@@ -146,6 +155,7 @@ pub fn encode_flat<E: Emit>(index: &SegmentIndex, out: &mut E) {
 /// [`Self::materialize`].
 #[derive(Debug, Clone, Copy)]
 pub struct FlatIndexView<'a> {
+    version: u32,
     n_terms: usize,
     n_units: usize,
     n_postings: usize,
@@ -157,7 +167,7 @@ pub struct FlatIndexView<'a> {
 }
 
 fn err(context: &'static str, offset: usize) -> DecodeError {
-    DecodeError { context, offset }
+    DecodeError::at(context, offset)
 }
 
 /// Casts `bytes` (whose length must be an exact multiple of `size_of::<T>`)
@@ -192,7 +202,8 @@ impl<'a> FlatIndexView<'a> {
         if &bytes[0..4] != FLAT_MAGIC {
             return Err(err("flat index magic mismatch", 0));
         }
-        if u32_at(4) != FLAT_VERSION {
+        let version = u32_at(4);
+        if version != FLAT_VERSION && version != FLAT_VERSION_UNIT_ORDER {
             return Err(err("unsupported flat index version", 4));
         }
         let n_terms = u32_at(8) as usize;
@@ -231,6 +242,7 @@ impl<'a> FlatIndexView<'a> {
             "flat postings array misaligned",
         )?;
         Ok(FlatIndexView {
+            version,
             n_terms,
             n_units,
             n_postings,
@@ -240,6 +252,12 @@ impl<'a> FlatIndexView<'a> {
             postings,
             term_blob: &bytes[postings_end..postings_end + term_blob_len],
         })
+    }
+
+    /// The layout version: [`FLAT_VERSION`] (impact order) or
+    /// [`FLAT_VERSION_UNIT_ORDER`].
+    pub fn version(&self) -> u32 {
+        self.version
     }
 
     /// Number of terms.
@@ -286,17 +304,22 @@ impl<'a> FlatIndexView<'a> {
             self.terms[t - 1].term_end as usize
         };
         if start > end || end > self.term_blob.len() {
-            return Err(err("flat term blob range out of bounds", t));
+            return Err(DecodeError::in_term(
+                "flat term blob range out of bounds",
+                t,
+            ));
         }
         std::str::from_utf8(&self.term_blob[start..end])
-            .map_err(|_| err("flat term text is not UTF-8", t))
+            .map_err(|_| DecodeError::in_term("flat term text is not UTF-8", t))
     }
 
     /// Rebuilds a heap [`SegmentIndex`] from the view, validating every
     /// cross-reference (term blob ranges, posting ranges, unit ids) on the
     /// way. Funnels through `SegmentIndex::from_parts` — the same
     /// derived-data construction as the v1 decode — so retrieval off the
-    /// result is bit-identical to a v1 roundtrip of the same index.
+    /// result is bit-identical to a v1 roundtrip of the same index. A
+    /// version-2 list is copied and checked to be strictly in impact
+    /// order; a version-1 list is copied and sorted into it.
     pub fn materialize(&self) -> Result<SegmentIndex, DecodeError> {
         let mut vocab = Vocabulary::new();
         for t in 0..self.n_terms {
@@ -320,24 +343,27 @@ impl<'a> FlatIndexView<'a> {
         let mut postings: Vec<Vec<Posting>> = Vec::with_capacity(self.n_terms);
         for (t, term) in self.terms.iter().enumerate() {
             let start = usize::try_from(term.post_start)
-                .map_err(|_| err("flat posting range out of bounds", t))?;
+                .map_err(|_| DecodeError::in_term("flat posting range out of bounds", t))?;
             let end = start
                 .checked_add(term.post_len as usize)
                 .filter(|&e| e <= self.postings.len())
-                .ok_or_else(|| err("flat posting range out of bounds", t))?;
-            let mut plist = Vec::with_capacity(end - start);
-            for p in &self.postings[start..end] {
-                if p.unit as usize >= self.n_units {
-                    return Err(err("posting references unknown unit", t));
-                }
-                plist.push(Posting {
-                    unit: UnitId(p.unit),
-                    tf: p.tf,
-                });
-            }
-            postings.push(plist);
+                .ok_or_else(|| DecodeError::in_term("flat posting range out of bounds", t))?;
+            postings.push(
+                self.postings[start..end]
+                    .iter()
+                    .map(|p| Posting {
+                        unit: UnitId(p.unit),
+                        tf: p.tf,
+                    })
+                    .collect(),
+            );
         }
-        SegmentIndex::from_parts(vocab, postings, units, self.avg_unique)
+        let order = if self.version == FLAT_VERSION {
+            PostingOrder::Impact
+        } else {
+            PostingOrder::Unit
+        };
+        SegmentIndex::from_parts(vocab, postings, units, self.avg_unique, order)
     }
 }
 
@@ -362,6 +388,34 @@ mod tests {
         w.into_bytes()
     }
 
+    /// The same index as a version-1 section: each term's postings in
+    /// unit order, the layout stores of version 2 hold.
+    fn unit_order_bytes(index: &SegmentIndex) -> Vec<u8> {
+        let mut bytes = flat_bytes(index);
+        bytes[4..8].copy_from_slice(&FLAT_VERSION_UNIT_ORDER.to_le_bytes());
+        let u32_at = |b: &[u8], pos: usize| u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap());
+        let terms = FLAT_HEADER_BYTES + 24 * index.num_units();
+        let postings = terms + 16 * index.vocabulary().len();
+        let mut start = postings;
+        for t in 0..index.vocabulary().len() {
+            let len = u32_at(&bytes, terms + 16 * t + 8) as usize;
+            let list = &mut bytes[start..start + 8 * len];
+            let mut pairs: Vec<[u8; 8]> = list.chunks(8).map(|c| c.try_into().unwrap()).collect();
+            pairs.sort_by_key(|p| u32::from_le_bytes(p[..4].try_into().unwrap()));
+            list.copy_from_slice(&pairs.concat());
+            start += 8 * len;
+        }
+        bytes
+    }
+
+    /// Every flat version the reader accepts, as `(name, section)`.
+    fn sections_of(index: &SegmentIndex) -> [(&'static str, Vec<u8>); 2] {
+        [
+            ("impact order (version 2)", flat_bytes(index)),
+            ("unit order (version 1)", unit_order_bytes(index)),
+        ]
+    }
+
     /// The in-memory buffer a `Writer` yields is not necessarily 8-byte
     /// aligned; copy into an aligned buffer the way the store view does.
     fn aligned(bytes: &[u8]) -> Vec<u64> {
@@ -381,18 +435,50 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_identical_to_v1_encoding() {
         let index = sample_index();
-        let bytes = flat_bytes(&index);
-        let buf = aligned(&bytes);
-        let view = view_of(&buf, bytes.len());
-        assert_eq!(view.num_units(), index.num_units());
-        let rebuilt = view.materialize().expect("materialize");
-        // v1 encodings cover vocab order, unit stats bits, postings, and
-        // avg_unique — byte equality is bit-identity of the whole index.
-        let (mut w1, mut w2) = (Writer::new(), Writer::new());
-        index.encode(&mut w1);
-        rebuilt.encode(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
-        assert!(rebuilt.audit().problems.is_empty());
+        for (version, bytes) in sections_of(&index) {
+            let buf = aligned(&bytes);
+            let view = view_of(&buf, bytes.len());
+            assert_eq!(view.num_units(), index.num_units());
+            let rebuilt = view.materialize().expect("materialize");
+            // v1 encodings cover vocab order, unit stats bits, postings,
+            // and avg_unique — byte equality is bit-identity of the whole
+            // index; the flat encodings add the impact order.
+            let (mut w1, mut w2) = (Writer::new(), Writer::new());
+            index.encode(&mut w1);
+            rebuilt.encode(&mut w2);
+            assert_eq!(w1.into_bytes(), w2.into_bytes(), "{version}");
+            assert_eq!(flat_bytes(&index), flat_bytes(&rebuilt), "{version}");
+            assert!(rebuilt.audit().problems.is_empty(), "{version}");
+        }
+    }
+
+    #[test]
+    fn out_of_order_postings_fail_only_in_impact_order() {
+        let index = sample_index();
+        for (version, mut bytes) in sections_of(&index) {
+            // "disk" holds two postings; swap them.
+            let t = index.vocabulary().get("disk").unwrap().as_usize();
+            let terms = FLAT_HEADER_BYTES + 24 * index.num_units();
+            let postings = terms + 16 * index.vocabulary().len();
+            let start = u64::from_le_bytes(bytes[terms + 16 * t..][..8].try_into().unwrap());
+            let first = postings + 8 * start as usize;
+            let (a, b) = bytes[first..first + 16].split_at_mut(8);
+            a.swap_with_slice(b);
+            let buf = aligned(&bytes);
+            let got = view_of(&buf, bytes.len()).materialize();
+            if version.starts_with("impact") {
+                let err = got.expect_err("swapped impact-order list materialized");
+                assert_eq!(err.term, Some(t as u32), "{err}");
+                assert!(err.to_string().contains(&format!("term {t}")), "{err}");
+            } else {
+                // A unit-order list is sorted on load, whatever its order.
+                assert!(got
+                    .expect("unit order is sorted")
+                    .audit()
+                    .problems
+                    .is_empty());
+            }
+        }
     }
 
     #[test]
@@ -418,28 +504,29 @@ mod tests {
 
     #[test]
     fn every_truncation_fails_cleanly() {
-        let index = sample_index();
-        let bytes = flat_bytes(&index);
-        let buf = aligned(&bytes);
-        let all = unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), buf.len() * 8) };
-        for cut in 0..bytes.len() {
-            let r = FlatIndexView::parse(&all[..cut]);
-            assert!(r.is_err(), "cut {cut} parsed");
+        for (version, bytes) in sections_of(&sample_index()) {
+            let buf = aligned(&bytes);
+            let all =
+                unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), buf.len() * 8) };
+            for cut in 0..bytes.len() {
+                let r = FlatIndexView::parse(&all[..cut]);
+                assert!(r.is_err(), "{version}: cut {cut} parsed");
+            }
         }
     }
 
     #[test]
     fn corrupt_counts_fail_cleanly() {
-        let index = sample_index();
-        let bytes = flat_bytes(&index);
-        for offset in (0..bytes.len()).step_by(3) {
-            let mut evil = bytes.clone();
-            evil[offset] ^= 0x5A;
-            let buf = aligned(&evil);
-            let all =
-                unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), buf.len() * 8) };
-            if let Ok(view) = FlatIndexView::parse(&all[..evil.len()]) {
-                let _ = view.materialize(); // Ok or Err; never a panic
+        for (_, bytes) in sections_of(&sample_index()) {
+            for offset in (0..bytes.len()).step_by(3) {
+                let mut evil = bytes.clone();
+                evil[offset] ^= 0x5A;
+                let buf = aligned(&evil);
+                let all =
+                    unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), buf.len() * 8) };
+                if let Ok(view) = FlatIndexView::parse(&all[..evil.len()]) {
+                    let _ = view.materialize(); // Ok or Err; never a panic
+                }
             }
         }
     }

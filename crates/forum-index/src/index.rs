@@ -42,33 +42,41 @@ pub struct Posting {
     pub tf: u32,
 }
 
-/// Impact ordering sidecar for one term's postings list (WAND/Fagin-style
-/// early termination, specialized to the paper's Eq. 8 weights).
+/// One term's postings list, the only copy the index holds, in impact
+/// order (WAND/Fagin-style early termination, specialized to the paper's
+/// Eq. 8 weights).
 ///
-/// `postings[k]` is a *copy* of the term's posting with the `k`-th largest
-/// *score cap*: a round-up of the exact Eq. 8/9 contribution
-/// `w(t, unit) · idf(t)` for a unit query frequency of 1. `caps[k]` is
-/// that cap, descending, so `caps[k]` bounds every posting at position
-/// ≥ `k`; `ub == caps[0]` bounds the whole list. Storing the reordered
-/// postings inline (rather than an index permutation into the unit-sorted
-/// list) costs 8 bytes per posting but keeps the hot scan a pair of
-/// contiguous forward walks — the permuted-indirection variant paid two
-/// dependent random loads per posting, which ate the savings of the
-/// postings it skipped.
+/// Postings are sorted by descending *score cap* — a round-up of the
+/// exact Eq. 8/9 contribution `w(t, unit) · idf(t)` for a unit query
+/// frequency of 1 — and by ascending unit on equal caps. `caps[k]` is the
+/// cap of `postings[k]`, so it bounds every posting at position ≥ `k`;
+/// `ub == caps[0]` bounds the whole list. The order is fixed when the
+/// index is built: a stored index is written in it and loading only
+/// checks it (see [`SegmentIndex::from_parts`]).
 ///
 /// Caps are *bounds*, not scores: scoring always recomputes the exact f64
-/// contribution from the posting itself, so reordering the walk never
-/// changes any floating-point result (each unit still receives exactly one
-/// add per term, and terms stay in query order).
+/// contribution from the posting itself, so the walk order never changes
+/// any floating-point result (each unit still receives exactly one add
+/// per term, and terms stay in query order).
 #[derive(Debug, Clone)]
 struct TermImpacts {
-    /// The term's postings sorted by descending cap (original posting
-    /// position ascending on ties, for determinism).
+    /// The term's postings in (cap desc, unit asc) order.
     postings: Vec<Posting>,
     /// `caps[k]` = upper bound on the contribution of `postings[k]`.
     caps: Vec<f32>,
     /// The largest cap (0 for an empty list).
     ub: f64,
+}
+
+/// The order in which [`SegmentIndex::from_parts`] receives postings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PostingOrder {
+    /// Ascending unit id: the builder, the v1 `SIDX` stream and flat
+    /// version 1. Each list is sorted into impact order once.
+    Unit,
+    /// Impact order, as flat version 2 stores it. Each list is checked,
+    /// never sorted.
+    Impact,
 }
 
 /// Multiplier applied to upper bounds before comparing against the top-n
@@ -97,35 +105,76 @@ fn round_up_f32(x: f64) -> f32 {
     }
 }
 
-/// Builds the per-term impact sidecars for a finished index from its
-/// per-unit Eq. 7/8 denominators (see [`unit_denoms`]).
-fn build_impacts(postings: &[Vec<Posting>], denoms: &[f64]) -> Vec<TermImpacts> {
-    postings
-        .iter()
-        .map(|plist| {
-            let idf = probabilistic_idf(denoms.len(), plist.len());
-            // `unit_denoms` rejects NaN, so every cap is a number and the
-            // impact sort below cannot fail.
-            let caps_by_pos: Vec<f32> = plist
-                .iter()
-                .map(|p| match eq8_weight(denoms, p.unit.0, p.tf) {
-                    Some(w) if idf > 0.0 => round_up_f32(w * idf),
-                    _ => 0.0,
-                })
-                .collect();
-            let mut order: Vec<u32> = (0..plist.len() as u32).collect();
+/// The score cap of posting `p` in a list whose IDF is `idf`: the
+/// round-up of its exact Eq. 8/9 contribution, 0 when it cannot score.
+/// `unit_denoms` rejects NaN, so every cap is a number.
+#[inline]
+fn cap_of(denoms: &[f64], idf: f64, p: Posting) -> f32 {
+    match eq8_weight(denoms, p.unit.0, p.tf) {
+        Some(w) if idf > 0.0 => round_up_f32(w * idf),
+        _ => 0.0,
+    }
+}
+
+/// Whether a posting with cap `cap` on unit `unit` may follow one with
+/// `(prev_cap, prev_unit)` in impact order: caps descend, units ascend
+/// on equal caps, and no unit repeats.
+#[inline]
+fn follows_in_impact_order(prev_cap: f32, prev_unit: u32, cap: f32, unit: u32) -> bool {
+    cap < prev_cap || (cap == prev_cap && unit > prev_unit)
+}
+
+/// Turns term `t`'s postings into its impact-ordered list, given the
+/// per-unit Eq. 7/8 denominators (see [`unit_denoms`]). A list in
+/// [`PostingOrder::Unit`] is sorted by (cap desc, unit asc); a list in
+/// [`PostingOrder::Impact`] must already be strictly in that order and
+/// is refused otherwise. Either way every unit must be in range.
+fn impact_list(
+    t: usize,
+    mut postings: Vec<Posting>,
+    denoms: &[f64],
+    order: PostingOrder,
+) -> Result<TermImpacts, crate::codec::DecodeError> {
+    use crate::codec::DecodeError;
+    let idf = probabilistic_idf(denoms.len(), postings.len());
+    let mut caps = Vec::with_capacity(postings.len());
+    for p in &postings {
+        if p.unit.as_usize() >= denoms.len() {
+            return Err(DecodeError::in_term("posting references unknown unit", t));
+        }
+        caps.push(cap_of(denoms, idf, *p));
+    }
+    match order {
+        PostingOrder::Unit => {
+            let mut order: Vec<u32> = (0..postings.len() as u32).collect();
             order.sort_unstable_by(|&a, &b| {
-                caps_by_pos[b as usize]
-                    .partial_cmp(&caps_by_pos[a as usize])
+                let (a, b) = (a as usize, b as usize);
+                caps[b]
+                    .partial_cmp(&caps[a])
                     .expect("caps are not NaN")
-                    .then(a.cmp(&b))
+                    .then(postings[a].unit.cmp(&postings[b].unit))
             });
-            let postings: Vec<Posting> = order.iter().map(|&k| plist[k as usize]).collect();
-            let caps: Vec<f32> = order.iter().map(|&k| caps_by_pos[k as usize]).collect();
-            let ub = caps.first().map_or(0.0, |&c| f64::from(c));
-            TermImpacts { postings, caps, ub }
-        })
-        .collect()
+            postings = order.iter().map(|&k| postings[k as usize]).collect();
+            caps = order.iter().map(|&k| caps[k as usize]).collect();
+        }
+        PostingOrder::Impact => {
+            for k in 1..postings.len() {
+                if !follows_in_impact_order(
+                    caps[k - 1],
+                    postings[k - 1].unit.0,
+                    caps[k],
+                    postings[k].unit.0,
+                ) {
+                    return Err(DecodeError::in_term(
+                        "postings out of (cap desc, unit asc) order",
+                        t,
+                    ));
+                }
+            }
+        }
+    }
+    let ub = caps.first().map_or(0.0, |&c| f64::from(c));
+    Ok(TermImpacts { postings, caps, ub })
 }
 
 /// The Eq. 7/8 weight `(log tf + 1) / denom[unit]` of a posting with
@@ -160,10 +209,10 @@ fn unit_denoms(
 ) -> Result<Vec<f64>, crate::codec::DecodeError> {
     use crate::codec::DecodeError;
     if !avg_unique.is_finite() {
-        return Err(DecodeError {
-            context: "non-finite average unique-term count",
-            offset: units.len(),
-        });
+        return Err(DecodeError::at(
+            "non-finite average unique-term count",
+            units.len(),
+        ));
     }
     units
         .iter()
@@ -174,10 +223,7 @@ fn unit_denoms(
             if stats.log_tf_sum.is_finite() && !denom.is_nan() {
                 Ok(denom)
             } else {
-                Err(DecodeError {
-                    context: "non-finite unit log-tf sum",
-                    offset: u,
-                })
+                Err(DecodeError::at("non-finite unit log-tf sum", u))
             }
         })
         .collect()
@@ -668,12 +714,7 @@ impl IndexBuilder {
     }
 
     /// Finalizes the index.
-    pub fn build(mut self) -> SegmentIndex {
-        // Postings arrive in unit order already, but keep the invariant
-        // explicit for callers that extend the builder.
-        for plist in &mut self.postings {
-            plist.sort_unstable_by_key(|p| p.unit);
-        }
+    pub fn build(self) -> SegmentIndex {
         let avg_unique = if self.units.is_empty() {
             0.0
         } else {
@@ -683,8 +724,14 @@ impl IndexBuilder {
                 .sum::<f64>()
                 / self.units.len() as f64
         };
-        SegmentIndex::from_parts(self.vocab, self.postings, self.units, avg_unique)
-            .expect("built unit statistics are finite")
+        SegmentIndex::from_parts(
+            self.vocab,
+            self.postings,
+            self.units,
+            avg_unique,
+            PostingOrder::Unit,
+        )
+        .expect("built unit statistics are finite")
     }
 }
 
@@ -713,13 +760,15 @@ impl IndexBuilder {
 #[derive(Debug)]
 pub struct SegmentIndex {
     pub(crate) vocab: Vocabulary,
-    pub(crate) postings: Vec<Vec<Posting>>,
     pub(crate) units: Vec<UnitStats>,
     pub(crate) avg_unique: f64,
+    /// BM25's average unit length (mean `total_terms`; 0 for an empty
+    /// index), derived from `units`.
+    avg_len: f64,
     /// Per-unit Eq. 7/8 denominators `log_tf_sum · NU` (see
     /// [`unit_denoms`]), derived from `units` and `avg_unique`.
     denoms: Vec<f64>,
-    /// Impact-ordered sidecars, one per postings list.
+    /// One impact-ordered postings list per term id.
     impacts: Vec<TermImpacts>,
     /// Dense owner numbering plus the owner → units map.
     owner_slots: OwnerSlots,
@@ -735,32 +784,51 @@ struct OwnerSlots {
     of_unit: Vec<u32>,
     /// The owner id of each slot.
     owner: Vec<u32>,
-    /// Owner → its units, ascending, for exact random-access scoring
+    /// Owner id → slot, for exact random-access scoring
     /// ([`SegmentIndex::score_owner`]).
-    units: HashMap<u32, Vec<u32>>,
+    slot_of: HashMap<u32, u32>,
+    /// Slot `k`'s units are `units[start[k]..start[k + 1]]`, ascending
+    /// (`start` has one entry per slot plus one).
+    start: Vec<u32>,
+    /// Every unit id, grouped by owner slot.
+    units: Vec<u32>,
 }
 
 impl OwnerSlots {
     fn build(units: &[UnitStats]) -> Self {
         let mut slots = OwnerSlots::default();
-        for (u, stats) in units.iter().enumerate() {
-            slots.push(stats.owner, u as u32);
+        slots.of_unit.reserve(units.len());
+        for stats in units {
+            let next = slots.owner.len() as u32;
+            let slot = *slots.slot_of.entry(stats.owner).or_insert(next);
+            if slot == next {
+                slots.owner.push(stats.owner);
+            }
+            slots.of_unit.push(slot);
+        }
+        // Counting sort of the units by slot: counts, then prefix sums,
+        // then one ascending pass that drops each unit into place.
+        slots.start = vec![0; slots.owner.len() + 1];
+        for &k in &slots.of_unit {
+            slots.start[k as usize + 1] += 1;
+        }
+        for k in 1..slots.start.len() {
+            slots.start[k] += slots.start[k - 1];
+        }
+        let mut next = slots.start.clone();
+        slots.units = vec![0; units.len()];
+        for (u, &k) in slots.of_unit.iter().enumerate() {
+            let at = &mut next[k as usize];
+            slots.units[*at as usize] = u as u32;
+            *at += 1;
         }
         slots
     }
 
-    /// Registers `unit` (the next unit id) as owned by `owner`.
-    fn push(&mut self, owner: u32, unit: u32) {
-        let list = self.units.entry(owner).or_default();
-        let slot = match list.first() {
-            Some(&first) => self.of_unit[first as usize],
-            None => {
-                self.owner.push(owner);
-                (self.owner.len() - 1) as u32
-            }
-        };
-        list.push(unit);
-        self.of_unit.push(slot);
+    /// The units of `owner`, ascending; `None` for an owner with none.
+    fn units_of(&self, owner: u32) -> Option<&[u32]> {
+        let k = *self.slot_of.get(&owner)? as usize;
+        Some(&self.units[self.start[k] as usize..self.start[k + 1] as usize])
     }
 }
 
@@ -786,7 +854,7 @@ impl SegmentIndex {
     /// Total postings across all lists (the store's section metadata
     /// records this so header-only `stats` can report index sizes).
     pub fn num_postings(&self) -> usize {
-        self.postings.iter().map(Vec::len).sum()
+        self.impacts.iter().map(|l| l.postings.len()).sum()
     }
 
     /// The index's vocabulary.
@@ -797,24 +865,34 @@ impl SegmentIndex {
 
     /// Number of units containing `term` (the paper's `|I^t|`).
     pub fn unit_frequency(&self, term: &str) -> usize {
+        self.vocab.get(term).map_or(0, |id| self.list_len(id))
+    }
+
+    /// The length of term `id`'s postings list (0 past the last list).
+    pub(crate) fn list_len(&self, id: TermId) -> usize {
+        self.impacts
+            .get(id.as_usize())
+            .map_or(0, |l| l.postings.len())
+    }
+
+    /// The postings of term `term`, in impact order (empty when absent).
+    fn postings_of(&self, term: &str) -> &[Posting] {
         self.vocab
             .get(term)
-            .and_then(|id| self.postings.get(id.as_usize()))
-            .map_or(0, Vec::len)
+            .and_then(|id| self.impacts.get(id.as_usize()))
+            .map_or(&[], |l| &l.postings)
     }
 
     /// The Eq. 7/8 weight of `term` in `unit`:
     /// `(log tf + 1) / (Σ_t' (log tf' + 1) · NU(unit))`.
-    /// Zero when the term does not occur in the unit.
+    /// Zero when the term does not occur in the unit. A linear search of
+    /// the term's impact-ordered list; no scan calls it.
     pub fn weight(&self, term: &str, unit: UnitId) -> f64 {
-        let Some(id) = self.vocab.get(term) else {
-            return 0.0;
-        };
-        let plist = &self.postings[id.as_usize()];
-        let Ok(pos) = plist.binary_search_by_key(&unit, |p| p.unit) else {
-            return 0.0;
-        };
-        eq8_weight(&self.denoms, unit.0, plist[pos].tf).unwrap_or(0.0)
+        self.postings_of(term)
+            .iter()
+            .find(|p| p.unit == unit)
+            .and_then(|p| eq8_weight(&self.denoms, unit.0, p.tf))
+            .unwrap_or(0.0)
     }
 
     /// The probabilistic IDF of `term` in this index (the Eq. 9 fraction).
@@ -892,34 +970,22 @@ impl SegmentIndex {
     /// unit of the owner scores positively (such owners are never ranked).
     ///
     /// This gives Fagin's TA exact random access without materializing a
-    /// full ranked list per intention.
+    /// full ranked list per intention. Each term's posting for a unit is
+    /// found by a linear search of its impact-ordered list.
     pub fn score_owner(
         &self,
         query: &[(String, u32)],
         scheme: WeightingScheme,
         owner: u32,
     ) -> Option<f64> {
-        let units = self.owner_slots.units.get(&owner)?;
-        let avg_len = match scheme {
-            WeightingScheme::Bm25 { .. } if !self.units.is_empty() => {
-                self.units
-                    .iter()
-                    .map(|u| f64::from(u.total_terms))
-                    .sum::<f64>()
-                    / self.units.len() as f64
-            }
-            _ => 0.0,
-        };
+        let units = self.owner_slots.units_of(owner)?;
         let mut best: Option<f64> = None;
         for &u in units {
             let stats = &self.units[u as usize];
             let mut sum = 0.0f64;
             for (term, qf) in query {
-                let Some(id) = self.vocab.get(term) else {
-                    continue;
-                };
-                let plist = &self.postings[id.as_usize()];
-                let Ok(pos) = plist.binary_search_by_key(&UnitId(u), |p| p.unit) else {
+                let plist = self.postings_of(term);
+                let Some(p) = plist.iter().find(|p| p.unit.0 == u) else {
                     continue;
                 };
                 match scheme {
@@ -928,7 +994,7 @@ impl SegmentIndex {
                         if idf <= 0.0 {
                             continue;
                         }
-                        let Some(w) = eq8_weight(&self.denoms, u, plist[pos].tf) else {
+                        let Some(w) = eq8_weight(&self.denoms, u, p.tf) else {
                             continue;
                         };
                         sum += f64::from(*qf) * w * idf;
@@ -937,9 +1003,9 @@ impl SegmentIndex {
                         let nq = plist.len() as f64;
                         let nn = self.num_units() as f64;
                         let idf = (((nn - nq + 0.5) / (nq + 0.5)) + 1.0).ln();
-                        let tf = f64::from(plist[pos].tf);
-                        let len_ratio = if avg_len > 0.0 {
-                            f64::from(stats.total_terms) / avg_len
+                        let tf = f64::from(p.tf);
+                        let len_ratio = if self.avg_len > 0.0 {
+                            f64::from(stats.total_terms) / self.avg_len
                         } else {
                             1.0
                         };
@@ -981,21 +1047,8 @@ impl SegmentIndex {
                 return;
             }
         }
-        let avg_len = match scheme {
-            WeightingScheme::Bm25 { .. } if !self.units.is_empty() => {
-                self.units
-                    .iter()
-                    .map(|u| f64::from(u.total_terms))
-                    .sum::<f64>()
-                    / self.units.len() as f64
-            }
-            _ => 0.0,
-        };
         for (term, qf) in query {
-            let Some(id) = self.vocab.get(term) else {
-                continue;
-            };
-            let plist = &self.postings[id.as_usize()];
+            let plist = self.postings_of(term);
             match scheme {
                 WeightingScheme::PaperTfIdf => {
                     let idf = probabilistic_idf(self.num_units(), plist.len());
@@ -1024,8 +1077,8 @@ impl SegmentIndex {
                     for p in plist {
                         let stats = &self.units[p.unit.as_usize()];
                         let tf = f64::from(p.tf);
-                        let len_ratio = if avg_len > 0.0 {
-                            f64::from(stats.total_terms) / avg_len
+                        let len_ratio = if self.avg_len > 0.0 {
+                            f64::from(stats.total_terms) / self.avg_len
                         } else {
                             1.0
                         };
@@ -1073,13 +1126,12 @@ impl SegmentIndex {
             let Some(id) = ids[i] else {
                 continue;
             };
-            let plist = &self.postings[id.as_usize()];
-            let idf = probabilistic_idf(self.num_units(), plist.len());
+            let imp = &impacts[id.as_usize()];
+            let idf = probabilistic_idf(self.num_units(), imp.postings.len());
             if idf <= 0.0 {
-                scratch.costs.candidates_pruned += plist.len() as u64;
+                scratch.costs.candidates_pruned += imp.postings.len() as u64;
                 continue;
             }
-            let imp = &impacts[id.as_usize()];
             let s_next = rem[i + 1];
             let qf64 = f64::from(*qf);
             let mut k = 0;
@@ -1165,21 +1217,9 @@ impl SegmentIndex {
         n: usize,
         scheme: WeightingScheme,
     ) -> Vec<(UnitId, f64)> {
-        let avg_len = if self.units.is_empty() {
-            0.0
-        } else {
-            self.units
-                .iter()
-                .map(|u| f64::from(u.total_terms))
-                .sum::<f64>()
-                / self.units.len() as f64
-        };
         let mut accumulators: HashMap<UnitId, f64> = HashMap::new();
         for (term, qf) in query {
-            let Some(id) = self.vocab.get(term) else {
-                continue;
-            };
-            let plist = &self.postings[id.as_usize()];
+            let plist = self.postings_of(term);
             match scheme {
                 WeightingScheme::PaperTfIdf => {
                     let idf = probabilistic_idf(self.num_units(), plist.len());
@@ -1204,8 +1244,8 @@ impl SegmentIndex {
                     for p in plist {
                         let stats = &self.units[p.unit.as_usize()];
                         let tf = f64::from(p.tf);
-                        let len_ratio = if avg_len > 0.0 {
-                            f64::from(stats.total_terms) / avg_len
+                        let len_ratio = if self.avg_len > 0.0 {
+                            f64::from(stats.total_terms) / self.avg_len
                         } else {
                             1.0
                         };
@@ -1245,9 +1285,12 @@ impl SegmentIndex {
             w.f64(u.log_tf_sum);
         }
         w.f64(self.avg_unique);
-        // Postings, per term in id order.
-        w.u32(self.postings.len() as u32);
-        for plist in &self.postings {
+        // Postings, per term in id order, each list in unit order (the
+        // order v1 readers expect).
+        w.u32(self.impacts.len() as u32);
+        for list in &self.impacts {
+            let mut plist = list.postings.clone();
+            plist.sort_unstable_by_key(|p| p.unit);
             w.u32(plist.len() as u32);
             for p in plist {
                 w.u32(p.unit.0);
@@ -1262,10 +1305,7 @@ impl SegmentIndex {
         r.magic(b"SIDX")?;
         let version = r.u32("index version")?;
         if version != 1 {
-            return Err(DecodeError {
-                context: "unsupported index version",
-                offset: r.position(),
-            });
+            return Err(DecodeError::at("unsupported index version", r.position()));
         }
         let n_terms = r.u32("vocab size")? as usize;
         let mut vocab = Vocabulary::new();
@@ -1289,10 +1329,10 @@ impl SegmentIndex {
         let avg_unique = r.f64("avg unique")?;
         let n_plists = r.u32("postings lists")? as usize;
         if n_plists > n_terms {
-            return Err(DecodeError {
-                context: "more postings lists than terms",
-                offset: r.position(),
-            });
+            return Err(DecodeError::at(
+                "more postings lists than terms",
+                r.position(),
+            ));
         }
         let mut postings = Vec::with_capacity(r.capacity_hint(n_plists, 4));
         for _ in 0..n_plists {
@@ -1301,12 +1341,6 @@ impl SegmentIndex {
             for _ in 0..len {
                 let unit = r.u32("posting unit")?;
                 let tf = r.u32("posting tf")?;
-                if unit as usize >= n_units {
-                    return Err(DecodeError {
-                        context: "posting references unknown unit",
-                        offset: r.position(),
-                    });
-                }
                 plist.push(Posting {
                     unit: UnitId(unit),
                     tf,
@@ -1314,44 +1348,68 @@ impl SegmentIndex {
             }
             postings.push(plist);
         }
-        // The impact sidecars are derived data: rebuilding them here keeps
-        // the on-disk format at v1 and guarantees they always match the
-        // decoded postings.
-        SegmentIndex::from_parts(vocab, postings, units, avg_unique)
+        // v1 lists are in unit order; `from_parts` checks their units and
+        // sorts them into impact order.
+        SegmentIndex::from_parts(vocab, postings, units, avg_unique, PostingOrder::Unit)
     }
 
     /// Assembles an index from its parts, deriving the per-unit
-    /// denominators, the owner slots and the impact sidecars. The builder,
-    /// the v1 decode path and the flat store-v2 materialization
-    /// ([`crate::flat`]) all funnel through here, so a lazily materialized
-    /// cluster is bit-identical to a heap-decoded or freshly built one by
-    /// construction. Fails on non-finite unit statistics (see
-    /// [`unit_denoms`]).
+    /// denominators, BM25's average unit length, the owner slots and each
+    /// list's caps. The builder, the v1 decode path and the flat
+    /// materialization ([`crate::flat`]) all funnel through here, so a
+    /// lazily materialized cluster is bit-identical to a heap-decoded or
+    /// freshly built one by construction.
+    ///
+    /// Lists in [`PostingOrder::Unit`] are sorted into impact order here;
+    /// lists in [`PostingOrder::Impact`] are only checked, in one linear
+    /// pass that recomputes every cap from the unit statistics. Fails on
+    /// non-finite unit statistics (see [`unit_denoms`]), on a posting of
+    /// an unknown unit, and on an impact-order list that is not strictly
+    /// in (cap desc, unit asc) order; the last two errors name the term.
     pub(crate) fn from_parts(
         vocab: Vocabulary,
         postings: Vec<Vec<Posting>>,
         units: Vec<UnitStats>,
         avg_unique: f64,
+        order: PostingOrder,
     ) -> Result<SegmentIndex, crate::codec::DecodeError> {
         let denoms = unit_denoms(&units, avg_unique)?;
-        let impacts = build_impacts(&postings, &denoms);
+        let impacts = postings
+            .into_iter()
+            .enumerate()
+            .map(|(t, plist)| impact_list(t, plist, &denoms, order))
+            .collect::<Result<Vec<_>, _>>()?;
+        let avg_len = if units.is_empty() {
+            0.0
+        } else {
+            units.iter().map(|u| f64::from(u.total_terms)).sum::<f64>() / units.len() as f64
+        };
         let owner_slots = OwnerSlots::build(&units);
         Ok(SegmentIndex {
             vocab,
-            postings,
             units,
             avg_unique,
+            avg_len,
             denoms,
             impacts,
             owner_slots,
         })
     }
 
+    /// Term `t`'s postings in impact order (empty past the last list),
+    /// for the flat encoder ([`crate::flat`]).
+    pub(crate) fn impact_postings(&self, t: usize) -> &[Posting] {
+        self.impacts.get(t).map_or(&[], |l| &l.postings)
+    }
+
     /// Full integrity audit for `intentmatch doctor`. Verifies every
     /// invariant the query paths rely on without mutating anything:
     ///
-    /// * postings lists strictly sorted by unit, no zero term frequencies,
-    ///   no references to unknown units;
+    /// * every postings list is strictly in (cap desc, unit asc) order,
+    ///   references only known units and holds no zero term frequency;
+    /// * every cap is finite and equals the `round_up_f32` of the exact
+    ///   Eq. 8/9 contribution, recomputed here from the raw unit
+    ///   statistics, and each list's `ub` is its first cap;
     /// * stored per-unit statistics (`unique_terms`, `total_terms`, the
     ///   Eq. 7/8 denominator `log_tf_sum`) match a recomputation from the
     ///   postings themselves (float sums compared with a 1e-9 relative
@@ -1359,11 +1417,7 @@ impl SegmentIndex {
     /// * `avg_unique` matches the mean of the stored unique counts (1e-6
     ///   relative tolerance — a store that an older `intentmatch add`
     ///   grew in place holds a running mean);
-    /// * the owner → units map is a consistent inverse of the unit table;
-    /// * impact sidecars are permutations of their postings lists with
-    ///   descending caps, each cap admissible (≥ the exact Eq. 8/9
-    ///   contribution it bounds, recomputed here) and equal to the
-    ///   deterministic `round_up_f32` of that contribution.
+    /// * the owner → units map is a consistent inverse of the unit table.
     ///
     /// Returns distribution facts plus a list of human-readable problems;
     /// an empty list means the index is healthy.
@@ -1373,7 +1427,7 @@ impl SegmentIndex {
 
         // Postings-length distribution (for skew reporting) and
         // structural checks.
-        let mut lens: Vec<usize> = self.postings.iter().map(Vec::len).collect();
+        let mut lens: Vec<usize> = self.impacts.iter().map(|l| l.postings.len()).collect();
         let postings_total: usize = lens.iter().sum();
         let postings_max = lens.iter().copied().max().unwrap_or(0);
         lens.sort_unstable();
@@ -1384,39 +1438,16 @@ impl SegmentIndex {
                 lens[(lens.len() - 1) * p / 100]
             }
         };
-        if self.postings.len() > self.vocab.len() {
+        if self.impacts.len() > self.vocab.len() {
             problems.push(format!(
                 "{} postings lists but only {} vocabulary terms",
-                self.postings.len(),
+                self.impacts.len(),
                 self.vocab.len()
             ));
         }
-        for (t, plist) in self.postings.iter().enumerate() {
-            let mut prev: Option<u32> = None;
-            for p in plist {
-                if p.unit.as_usize() >= n_units {
-                    problems.push(format!(
-                        "term {t}: posting references unknown unit {}",
-                        p.unit.0
-                    ));
-                    break;
-                }
-                if p.tf == 0 {
-                    problems.push(format!(
-                        "term {t}: zero term frequency in unit {}",
-                        p.unit.0
-                    ));
-                }
-                if let Some(prev) = prev {
-                    if p.unit.0 <= prev {
-                        problems.push(format!(
-                            "term {t}: postings not strictly sorted by unit at unit {}",
-                            p.unit.0
-                        ));
-                        break;
-                    }
-                }
-                prev = Some(p.unit.0);
+        for (t, list) in self.impacts.iter().enumerate() {
+            if let Some(problem) = self.audit_list(list) {
+                problems.push(format!("term {t}: {problem}"));
             }
         }
 
@@ -1425,8 +1456,8 @@ impl SegmentIndex {
         let mut unique = vec![0u32; n_units];
         let mut total = vec![0u64; n_units];
         let mut log_tf_sum = vec![0.0f64; n_units];
-        for plist in &self.postings {
-            for p in plist {
+        for list in &self.impacts {
+            for p in &list.postings {
                 let u = p.unit.as_usize();
                 if u >= n_units {
                     continue;
@@ -1496,8 +1527,8 @@ impl SegmentIndex {
         // The owner → units map must be an exact inverse of the unit
         // table: every unit listed once, under its own owner.
         let mut seen = vec![false; n_units];
-        for (&owner, list) in &self.owner_slots.units {
-            for &u in list {
+        for &owner in &self.owner_slots.owner {
+            for &u in self.owner_slots.units_of(owner).unwrap_or(&[]) {
                 match self.units.get(u as usize) {
                     None => problems.push(format!(
                         "owner {owner}: owner map references unknown unit {u}"
@@ -1514,96 +1545,7 @@ impl SegmentIndex {
             }
         }
         if let Some(missing) = seen.iter().position(|&s| !s) {
-            if !self.units.is_empty() {
-                problems.push(format!("unit {missing} is missing from the owner map"));
-            }
-        }
-
-        // Impact sidecars: permutation + descending caps + admissibility
-        // against the exact recomputed Eq. 8/9 contribution.
-        let impacts = &self.impacts;
-        if impacts.len() != self.postings.len() {
-            problems.push(format!(
-                "{} impact sidecars for {} postings lists",
-                impacts.len(),
-                self.postings.len()
-            ));
-        }
-        for (t, (imp, plist)) in impacts.iter().zip(&self.postings).enumerate() {
-            if imp.postings.len() != plist.len() || imp.caps.len() != plist.len() {
-                problems.push(format!(
-                    "term {t}: impact sidecar has {} postings / {} caps for a \
-                     {}-posting list",
-                    imp.postings.len(),
-                    imp.caps.len(),
-                    plist.len()
-                ));
-                continue;
-            }
-            let mut sorted: Vec<Posting> = imp.postings.clone();
-            sorted.sort_unstable_by_key(|p| p.unit);
-            if sorted != *plist {
-                problems.push(format!(
-                    "term {t}: impact postings are not a permutation of the \
-                     postings list"
-                ));
-                continue;
-            }
-            if let Some(&first) = imp.caps.first() {
-                if (imp.ub - f64::from(first)).abs() > 0.0 {
-                    problems.push(format!(
-                        "term {t}: stored ub {} but largest cap is {first}",
-                        imp.ub
-                    ));
-                }
-            } else if imp.ub != 0.0 {
-                problems.push(format!("term {t}: non-zero ub {} on empty list", imp.ub));
-            }
-            let idf = probabilistic_idf(n_units, plist.len());
-            for (k, (p, &cap)) in imp.postings.iter().zip(&imp.caps).enumerate() {
-                if !cap.is_finite() {
-                    problems.push(format!("term {t}: non-finite cap at position {k}"));
-                    break;
-                }
-                if k > 0 && cap > imp.caps[k - 1] {
-                    problems.push(format!(
-                        "term {t}: caps not descending at position {k} \
-                         ({cap} > {})",
-                        imp.caps[k - 1]
-                    ));
-                    break;
-                }
-                let stats = &self.units[p.unit.as_usize()];
-                let nu = length_normalization(stats.unique_terms as usize, self.avg_unique);
-                let denom = stats.log_tf_sum * nu;
-                let raw = if denom <= 0.0 || denom.is_nan() || idf <= 0.0 {
-                    0.0
-                } else {
-                    let r = log_tf(p.tf) / denom * idf;
-                    if r.is_nan() {
-                        0.0
-                    } else {
-                        r
-                    }
-                };
-                if f64::from(cap) < raw {
-                    problems.push(format!(
-                        "term {t}: cap {cap} at position {k} is below the exact \
-                         Eq. 8 contribution {raw} of unit {}",
-                        p.unit.0
-                    ));
-                    break;
-                }
-                if cap != round_up_f32(raw) {
-                    problems.push(format!(
-                        "term {t}: cap {cap} at position {k} is not the rounded \
-                         Eq. 8 contribution {} of unit {}",
-                        round_up_f32(raw),
-                        p.unit.0
-                    ));
-                    break;
-                }
-            }
+            problems.push(format!("unit {missing} is missing from the owner map"));
         }
 
         IndexAudit {
@@ -1616,6 +1558,64 @@ impl SegmentIndex {
             postings_p99: pct(99),
             problems,
         }
+    }
+
+    /// The first problem of one postings list: a posting of an unknown
+    /// unit or with a zero frequency, a cap that is not the round-up of
+    /// the exact Eq. 8/9 contribution (recomputed from the raw unit
+    /// statistics, as [`Self::top_n_reference`] scores), a break in the
+    /// strict (cap desc, unit asc) order, or a `ub` that is not the first
+    /// cap.
+    fn audit_list(&self, list: &TermImpacts) -> Option<String> {
+        if list.caps.len() != list.postings.len() {
+            return Some(format!(
+                "{} caps for {} postings",
+                list.caps.len(),
+                list.postings.len()
+            ));
+        }
+        let expected_ub = list.caps.first().map_or(0.0, |&c| f64::from(c));
+        if list.ub.to_bits() != expected_ub.to_bits() {
+            return Some(format!("ub {} but first cap is {expected_ub}", list.ub));
+        }
+        let idf = probabilistic_idf(self.units.len(), list.postings.len());
+        for (k, (p, &cap)) in list.postings.iter().zip(&list.caps).enumerate() {
+            let Some(stats) = self.units.get(p.unit.as_usize()) else {
+                return Some(format!("posting references unknown unit {}", p.unit.0));
+            };
+            if p.tf == 0 {
+                return Some(format!("zero term frequency in unit {}", p.unit.0));
+            }
+            let denom = stats.log_tf_sum
+                * length_normalization(stats.unique_terms as usize, self.avg_unique);
+            let exact = if denom <= 0.0 || denom.is_nan() || idf <= 0.0 {
+                0.0
+            } else {
+                log_tf(p.tf) / denom * idf
+            };
+            if !cap.is_finite() || cap != round_up_f32(exact) {
+                return Some(format!(
+                    "cap {cap} at position {k} is not the rounded-up Eq. 8 \
+                     contribution {exact} of unit {}",
+                    p.unit.0
+                ));
+            }
+            if k > 0
+                && !follows_in_impact_order(
+                    list.caps[k - 1],
+                    list.postings[k - 1].unit.0,
+                    cap,
+                    p.unit.0,
+                )
+            {
+                return Some(format!(
+                    "postings not strictly in (cap desc, unit asc) order at \
+                     position {k} (unit {})",
+                    p.unit.0
+                ));
+            }
+        }
+        None
     }
 
     /// Convenience: build the `(term, frequency)` query representation from

@@ -14,7 +14,7 @@
 //! intentmatch add     store.imp posts.txt     ingest + compact in one step
 //! intentmatch stats   store.imp               collection & cluster summary
 //! intentmatch serve   store.imp --addr H:P    live HTTP queries + telemetry
-//! intentmatch migrate store.imp               rewrite in the v2 mapped layout
+//! intentmatch migrate store.imp               rewrite in the current mapped layout (v3)
 //! ```
 //!
 //! `query --mapped` and `serve --mapped` answer straight off a v2 store
@@ -149,10 +149,12 @@ fn usage_text() -> String {
          compact` first), serves as one shard, and does not support --text \
          or --explain.",
         "",
-        "migrate rewrites a store in the current v2 sectioned layout \
-         (legacy v1 stores also load transparently everywhere else; \
-         migration makes the mmap fast path available). With no <out.imp> \
-         the store is rewritten in place (atomically).",
+        "migrate rewrites a store in the current sectioned layout, store \
+         version 3 (XXH64 checksums, postings stored in impact order). \
+         Legacy v1 and version-2 stores also load everywhere else; \
+         migrating v1 makes the mmap fast path available, and migrating \
+         version 2 makes each cluster load without a sort. With no \
+         <out.imp> the store is rewritten in place (atomically).",
         "",
         "doctor audits a store offline: the v2 byte layout (header, \
          directory, and per-section checksums; bounds; alignment), \
@@ -1015,20 +1017,24 @@ fn cmd_migrate(args: &[String]) -> CliResult {
         )
         .into());
     }
-    let mut magic = [0u8; 4];
+    let mut head = [0u8; 8];
     {
         use std::io::Read as _;
-        std::fs::File::open(store_path)?.read_exact(&mut magic)?;
+        std::fs::File::open(store_path)?.read_exact(&mut head)?;
     }
-    let from = if &magic == intentmatch::store_v2::V2_MAGIC {
-        "v2"
+    let from = if &head[0..4] == intentmatch::store_v2::V2_MAGIC {
+        format!(
+            "v{}",
+            u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"))
+        )
     } else {
-        "v1"
+        "v1".to_string()
     };
     let (collection, pipeline) = store::load(Path::new(store_path))?;
     store::save(Path::new(out_path), &collection, &pipeline)?;
     eprintln!(
-        "migrated {store_path} ({from}) -> {out_path} (v2): {} posts, {} clusters, {} bytes",
+        "migrated {store_path} ({from}) -> {out_path} (v{}): {} posts, {} clusters, {} bytes",
+        intentmatch::store_v2::STORE_VERSION,
         collection.len(),
         pipeline.num_clusters(),
         std::fs::metadata(out_path).map(|m| m.len()).unwrap_or(0),

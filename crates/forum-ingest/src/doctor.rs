@@ -48,10 +48,12 @@ pub struct DoctorReport {
     pub store_path: PathBuf,
     /// Snapshot size in bytes (0 when unreadable).
     pub store_bytes: u64,
-    /// On-disk format version (1 = legacy length-prefixed, 2 = sectioned
-    /// mmap-able layout; 0 when the magic is unrecognised).
+    /// On-disk format version: 1 = legacy length-prefixed; 2 or 3 = the
+    /// sectioned mmap-able layout, read from its header (2 = FNV-1a
+    /// checksums and unit-ordered postings, 3 = XXH64 and impact-ordered
+    /// postings); 0 when the magic is unrecognised.
     pub store_format: u32,
-    /// Sections in the v2 directory (0 for v1 stores).
+    /// Sections in the sectioned store's directory (0 for v1 stores).
     pub layout_sections: usize,
     /// The snapshot fingerprint the WAL header must match.
     pub snapshot_tag: Option<u64>,
@@ -166,7 +168,7 @@ impl DoctorReport {
             self.store_path.display(),
             self.store_bytes,
             self.store_format,
-            if self.store_format == 2 {
+            if self.store_format >= 2 {
                 format!(", {} sections", self.layout_sections)
             } else {
                 String::new()
@@ -257,14 +259,17 @@ pub fn diagnose(store_path: &Path) -> DoctorReport {
         warnings: Vec::new(),
     };
 
-    // 0. Byte-level layout audit of v2 stores: header and directory
+    // 0. Byte-level layout audit of sectioned stores: header and directory
     //    checksums, section bounds and 8-byte alignment, per-section
     //    payload checksums. This catches corruption structurally even in
     //    sections a mapped reader would only fault in lazily.
     match std::fs::read(store_path) {
         Ok(bytes) => {
-            if bytes.len() >= 4 && &bytes[0..4] == intentmatch::store_v2::V2_MAGIC {
-                report.store_format = 2;
+            if bytes.len() >= 8 && &bytes[0..4] == intentmatch::store_v2::V2_MAGIC {
+                // The header's version field, even when the header fails
+                // its checks (an unsupported version is then reported as
+                // what it is).
+                report.store_format = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
                 let layout = intentmatch::store_v2::audit_layout(&bytes);
                 report.layout_sections = layout.sections.len();
                 for problem in layout.problems {
@@ -509,7 +514,7 @@ mod tests {
         let path = build_store("healthy.imp");
         let report = diagnose(&path);
         assert!(report.healthy(), "problems: {:?}", report.problems);
-        assert_eq!(report.store_format, 2);
+        assert_eq!(report.store_format, 3);
         assert!(report.layout_sections > 0);
         assert_eq!(report.num_docs, posts().len());
         assert!(report.num_clusters > 0);
@@ -618,9 +623,10 @@ mod tests {
         assert!(diagnose(&path).healthy());
     }
 
-    /// In the v2 layout every checksum-covered byte (header, directory,
-    /// every section payload) must be caught by the layout audit — not
-    /// merely "most", because FNV detects any single-byte change. Only
+    /// In the sectioned layout every checksum-covered byte (header,
+    /// directory, every section payload) must be caught by the layout
+    /// audit — not merely "most": a one-byte flip changes the XXH64 of
+    /// the bytes it lies in. Only
     /// the ≤7 alignment-padding bytes between sections are outside any
     /// checksum, and the sweep skips exactly those.
     #[test]
@@ -667,6 +673,79 @@ mod tests {
         }
         std::fs::write(&path, &clean).unwrap();
         assert!(diagnose(&path).healthy());
+    }
+
+    /// Swaps the first two postings of the first list with at least two
+    /// in cluster 0's section, then re-stamps that section's checksum, the
+    /// directory's and the header's, so only the postings order is wrong.
+    /// Returns the term id of the list.
+    fn swap_two_postings_and_restamp(bytes: &mut [u8]) -> u32 {
+        use intentmatch::store_v2::{self, kind, DIR_ENTRY_BYTES};
+        let u32_at = |b: &[u8], pos: usize| u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap());
+        let u64_at = |b: &[u8], pos: usize| u64::from_le_bytes(b[pos..pos + 8].try_into().unwrap());
+        let header = store_v2::parse_header(bytes).unwrap();
+        assert_eq!(header.version, store_v2::STORE_VERSION);
+        let dir = header.dir_offset as usize;
+        let entries =
+            store_v2::parse_directory(&bytes[dir..dir + header.dir_len as usize]).unwrap();
+        let pos = entries
+            .iter()
+            .position(|e| e.kind == kind::CLUSTER && e.index == 0)
+            .expect("cluster 0 section");
+        let sec = entries[pos].offset as usize;
+        let section = &mut bytes[sec..sec + entries[pos].len as usize];
+        let (n_terms, n_units) = (u32_at(section, 8) as usize, u32_at(section, 12) as usize);
+        let terms = 40 + 24 * n_units;
+        let postings = terms + 16 * n_terms;
+        let t = (0..n_terms)
+            .find(|&t| u32_at(section, terms + 16 * t + 8) >= 2)
+            .expect("a list with two postings");
+        let first = postings + 8 * u64_at(section, terms + 16 * t) as usize;
+        let (a, b) = section[first..first + 16].split_at_mut(8);
+        a.swap_with_slice(b);
+        let sum = store_v2::xxh64(section);
+        let entry = dir + pos * DIR_ENTRY_BYTES;
+        bytes[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+        let dir_checksum = store_v2::xxh64(&bytes[dir..dir + header.dir_len as usize]);
+        let head = store_v2::encode_header(&store_v2::V2Header {
+            dir_checksum,
+            ..header
+        });
+        bytes[..head.len()].copy_from_slice(&head);
+        t as u32
+    }
+
+    #[test]
+    fn postings_out_of_impact_order_are_refused_by_every_reader() {
+        let path = build_store("swapped.imp");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let t = swap_two_postings_and_restamp(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        let names_term = |msg: &str| msg.contains(&format!("term {t}"));
+        assert!(
+            intentmatch::store_v2::audit_layout(&bytes)
+                .problems
+                .is_empty(),
+            "checksums were re-stamped"
+        );
+
+        let view = intentmatch::StoreView::open(&path).expect("header and directory are sound");
+        let err = view
+            .cluster(0)
+            .expect_err("mapped cluster load")
+            .to_string();
+        assert!(names_term(&err), "mapped error names no term: {err}");
+        let err = intentmatch::store::load(&path)
+            .expect_err("heap load")
+            .to_string();
+        assert!(names_term(&err), "heap error names no term: {err}");
+        let report = diagnose(&path);
+        assert!(!report.healthy());
+        assert!(
+            report.problems.iter().any(|p| names_term(p)),
+            "doctor names no term: {:?}",
+            report.problems
+        );
     }
 
     #[test]

@@ -135,18 +135,13 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, DecodeError> {
             doc: r.u32("update doc")?,
             text: r.string("update text")?,
         },
-        _ => {
-            return Err(DecodeError {
-                context: "unknown record opcode",
-                offset: 0,
-            })
-        }
+        _ => return Err(DecodeError::at("unknown record opcode", 0)),
     };
     if !r.is_at_end() {
-        return Err(DecodeError {
-            context: "trailing bytes in record payload",
-            offset: r.position(),
-        });
+        return Err(DecodeError::at(
+            "trailing bytes in record payload",
+            r.position(),
+        ));
     }
     Ok(rec)
 }
