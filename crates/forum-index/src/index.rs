@@ -137,41 +137,34 @@ fn impact_list(
 ) -> Result<TermImpacts, crate::codec::DecodeError> {
     use crate::codec::DecodeError;
     let idf = probabilistic_idf(denoms.len(), postings.len());
-    let mut caps = Vec::with_capacity(postings.len());
-    for p in &postings {
+    let mut caps: Vec<f32> = Vec::with_capacity(postings.len());
+    for (k, p) in postings.iter().enumerate() {
         if p.unit.as_usize() >= denoms.len() {
             return Err(DecodeError::in_term("posting references unknown unit", t));
         }
-        caps.push(cap_of(denoms, idf, *p));
+        let cap = cap_of(denoms, idf, *p);
+        if order == PostingOrder::Impact
+            && k > 0
+            && !follows_in_impact_order(caps[k - 1], postings[k - 1].unit.0, cap, p.unit.0)
+        {
+            return Err(DecodeError::in_term(
+                "postings out of (cap desc, unit asc) order",
+                t,
+            ));
+        }
+        caps.push(cap);
     }
-    match order {
-        PostingOrder::Unit => {
-            let mut order: Vec<u32> = (0..postings.len() as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (a, b) = (a as usize, b as usize);
-                caps[b]
-                    .partial_cmp(&caps[a])
-                    .expect("caps are not NaN")
-                    .then(postings[a].unit.cmp(&postings[b].unit))
-            });
-            postings = order.iter().map(|&k| postings[k as usize]).collect();
-            caps = order.iter().map(|&k| caps[k as usize]).collect();
-        }
-        PostingOrder::Impact => {
-            for k in 1..postings.len() {
-                if !follows_in_impact_order(
-                    caps[k - 1],
-                    postings[k - 1].unit.0,
-                    caps[k],
-                    postings[k].unit.0,
-                ) {
-                    return Err(DecodeError::in_term(
-                        "postings out of (cap desc, unit asc) order",
-                        t,
-                    ));
-                }
-            }
-        }
+    if order == PostingOrder::Unit {
+        let mut order: Vec<u32> = (0..postings.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            caps[b]
+                .partial_cmp(&caps[a])
+                .expect("caps are not NaN")
+                .then(postings[a].unit.cmp(&postings[b].unit))
+        });
+        postings = order.iter().map(|&k| postings[k as usize]).collect();
+        caps = order.iter().map(|&k| caps[k as usize]).collect();
     }
     let ub = caps.first().map_or(0.0, |&c| f64::from(c));
     Ok(TermImpacts { postings, caps, ub })
@@ -796,8 +789,11 @@ struct OwnerSlots {
 
 impl OwnerSlots {
     fn build(units: &[UnitStats]) -> Self {
-        let mut slots = OwnerSlots::default();
-        slots.of_unit.reserve(units.len());
+        let mut slots = OwnerSlots {
+            of_unit: Vec::with_capacity(units.len()),
+            slot_of: HashMap::with_capacity(units.len()),
+            ..OwnerSlots::default()
+        };
         for stats in units {
             let next = slots.owner.len() as u32;
             let slot = *slots.slot_of.entry(stats.owner).or_insert(next);
