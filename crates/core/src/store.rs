@@ -33,7 +33,7 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The file's contents do not decode.
     Decode(DecodeError),
-    /// The v2 layout is inconsistent (bad header/directory, checksum
+    /// The sectioned layout is inconsistent (bad header/directory, checksum
     /// mismatch, section invariant violated).
     Format(String),
 }
@@ -236,8 +236,8 @@ pub fn decode(bytes: &[u8]) -> Result<(PostCollection, IntentPipeline), StoreErr
     ))
 }
 
-/// Saves the built state to a file, atomically, in the v2 mmap-able
-/// layout ([`crate::store_v2`]).
+/// Saves the built state to a file, atomically, in the sectioned
+/// mmap-able layout at store version 3 ([`crate::store_v2`]).
 ///
 /// Sections stream to a temporary sibling (`<name>.tmp`) through a
 /// running checksum — peak save memory does not scale with store size —
@@ -291,7 +291,8 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Loads a built state from a file written by [`save`] (v2) or
+/// Loads a built state from a file written by [`save`] (store version 3,
+/// or version 2 by an older build) or
 /// [`save_v1`] — the leading magic selects the decoder, so v1 stores
 /// remain loadable without an explicit migration step.
 ///

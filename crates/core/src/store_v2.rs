@@ -145,7 +145,7 @@ fn read_u64(b: &[u8]) -> u64 {
 /// specification (xxHash, `doc/xxhash_spec.md`). Feeding bytes in any
 /// split gives the same digest as [`xxh64`] over their concatenation.
 #[derive(Debug, Clone)]
-pub struct Xxh64 {
+struct Xxh64 {
     /// The four stripe accumulators.
     acc: [u64; 4],
     /// Bytes of a stripe not yet complete.
@@ -173,7 +173,7 @@ impl Default for Xxh64 {
 
 impl Xxh64 {
     /// A fresh hash (seed 0).
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -185,7 +185,7 @@ impl Xxh64 {
     }
 
     /// Feeds `bytes`.
-    pub fn update(&mut self, mut bytes: &[u8]) {
+    fn update(&mut self, mut bytes: &[u8]) {
         self.total += bytes.len() as u64;
         if self.buf_len > 0 {
             let take = (32 - self.buf_len).min(bytes.len());
@@ -208,7 +208,7 @@ impl Xxh64 {
     }
 
     /// The digest of everything fed so far.
-    pub fn digest(&self) -> u64 {
+    fn digest(&self) -> u64 {
         let mut h = if self.total >= 32 {
             let [a, b, c, d] = self.acc;
             let h = a

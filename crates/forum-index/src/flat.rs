@@ -254,12 +254,6 @@ impl<'a> FlatIndexView<'a> {
         })
     }
 
-    /// The layout version: [`FLAT_VERSION`] (impact order) or
-    /// [`FLAT_VERSION_UNIT_ORDER`].
-    pub fn version(&self) -> u32 {
-        self.version
-    }
-
     /// Number of terms.
     pub fn num_terms(&self) -> usize {
         self.n_terms

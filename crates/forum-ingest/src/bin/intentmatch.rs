@@ -140,7 +140,7 @@ fn usage_text() -> String {
          availability=0.999, latency_ms=2000, delta_ratio=0.5, \
          noise_rate=0.5.",
         "",
-        "--mapped serves (or queries) straight off the v2 store file \
+        "--mapped serves (or queries) straight off the sectioned store file \
          through a zero-copy mmap view: startup touches only the header, \
          directory, and cluster metadata, and each query lazily faults in \
          exactly the sections it consults. Rankings are bit-identical to \
@@ -156,7 +156,7 @@ fn usage_text() -> String {
          version 2 makes each cluster load without a sort. With no \
          <out.imp> the store is rewritten in place (atomically).",
         "",
-        "doctor audits a store offline: the v2 byte layout (header, \
+        "doctor audits a store offline: the sectioned byte layout (header, \
          directory, and per-section checksums; bounds; alignment), \
          per-cluster skew, postings integrity, term-impact caps vs \
          recomputed Eq. 8 weights, WAL fingerprint/checksums, tombstones \
@@ -992,9 +992,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `migrate` — rewrites a store in the current v2 sectioned layout.
-/// Loading handles both formats (v1 decodes, v2 hydrates), and `save`
-/// always writes v2 atomically, so migration is just load + save; with
+/// `migrate` — rewrites a store in the current sectioned layout (store
+/// version 3). Loading handles every format (v1 decodes, versions 2 and
+/// 3 hydrate), and `save` always writes version 3 atomically, so
+/// migration is just load + save; with
 /// no explicit destination the store is replaced in place. Refuses when
 /// WAL records are pending (they bind to the old snapshot's fingerprint
 /// and would be silently discarded after the rewrite).

@@ -93,8 +93,8 @@ pub fn wal_path_for(store_path: &Path) -> PathBuf {
 /// crash between snapshot save and WAL reset no longer matches and is
 /// discarded on the next open (see `wal::Wal::open`).
 ///
-/// For v2 stores the identity bytes are the 64-byte header plus the
-/// section directory: every section's FNV checksum lives in a directory
+/// For sectioned stores the identity bytes are the 64-byte header plus
+/// the section directory: every section's checksum lives in a directory
 /// entry and the directory's own checksum lives in the header, so any
 /// change to any section byte changes the directory — hashing header +
 /// directory binds the entire snapshot in O(sections), not O(file). A v1
