@@ -296,11 +296,6 @@ impl V2Header {
     pub fn weighted_combination(&self) -> bool {
         self.flags & FLAG_WEIGHTED != 0
     }
-
-    /// The checksum of `bytes` under this store's version.
-    pub fn checksum(&self, bytes: &[u8]) -> u64 {
-        checksum(self.version, bytes)
-    }
 }
 
 /// One 32-byte directory entry.
@@ -827,7 +822,7 @@ pub fn audit_layout(bytes: &[u8]) -> LayoutAudit {
         ));
     }
     let dir_bytes = &bytes[header.dir_offset as usize..dir_end as usize];
-    let computed = header.checksum(dir_bytes);
+    let computed = checksum(header.version, dir_bytes);
     if computed != header.dir_checksum {
         audit.problems.push(format!(
             "directory checksum mismatch: stored {:#018x}, computed {computed:#018x}",
@@ -851,7 +846,7 @@ pub fn audit_layout(bytes: &[u8]) -> LayoutAudit {
             continue; // already reported by validate_directory
         };
         let payload = &bytes[e.offset as usize..end as usize];
-        let computed = header.checksum(payload);
+        let computed = checksum(header.version, payload);
         if computed != e.checksum {
             audit.problems.push(format!(
                 "section {} checksum mismatch: stored {:#018x}, computed {computed:#018x}",

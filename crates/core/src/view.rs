@@ -346,7 +346,7 @@ impl StoreView {
             )));
         }
         let dir_bytes = read_backing(&backing, file_len, header.dir_offset, header.dir_len)?;
-        let computed = header.checksum(&dir_bytes);
+        let computed = store_v2::checksum(header.version, &dir_bytes);
         if computed != header.dir_checksum {
             return Err(format_err(format!(
                 "directory checksum mismatch: stored {:#018x}, computed {computed:#018x}",
@@ -361,7 +361,7 @@ impl StoreView {
         // `stats` answers without touching anything else.
         let meta_entry = sections[singles[0]];
         let meta_bytes = read_backing(&backing, file_len, meta_entry.offset, meta_entry.len)?;
-        if header.checksum(&meta_bytes) != meta_entry.checksum {
+        if store_v2::checksum(header.version, &meta_bytes) != meta_entry.checksum {
             return Err(format_err("META section checksum mismatch"));
         }
         let meta = store_v2::decode_meta(&meta_bytes, header.num_clusters as usize)?;
@@ -495,7 +495,7 @@ impl StoreView {
                 Ok(d) => d,
                 Err(err) => return Err(format!("section {}: {err}", e.describe())),
             };
-            let computed = self.header.checksum(&data);
+            let computed = store_v2::checksum(self.header.version, &data);
             if computed != e.checksum {
                 return Err(format!(
                     "section {} checksum mismatch: stored {:#018x}, computed {computed:#018x}",

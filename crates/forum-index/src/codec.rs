@@ -5,17 +5,26 @@
 
 use std::fmt;
 
+/// Where in the input a [`DecodeError`] was found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeLocation {
+    /// A byte offset into the stream being read.
+    Byte(usize),
+    /// A term id: that term's postings list (or text) failed a
+    /// structural check.
+    Term(u32),
+    /// A unit id: that unit's statistics are unusable (one past the last
+    /// unit for the index-wide average).
+    Unit(usize),
+}
+
 /// Decoding error: the byte stream does not match the expected layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodeError {
     /// What the decoder was reading when it failed.
     pub context: &'static str,
-    /// Byte offset of the failure (for a [`Self::term`] error, the
-    /// term's id).
-    pub offset: usize,
-    /// The term whose postings list failed a structural check, when the
-    /// failure is one list's rather than a byte position's.
-    pub term: Option<u32>,
+    /// Where the failure was found.
+    pub location: DecodeLocation,
 }
 
 impl DecodeError {
@@ -23,8 +32,7 @@ impl DecodeError {
     pub fn at(context: &'static str, offset: usize) -> Self {
         DecodeError {
             context,
-            offset,
-            term: None,
+            location: DecodeLocation::Byte(offset),
         }
     }
 
@@ -32,17 +40,25 @@ impl DecodeError {
     pub fn in_term(context: &'static str, term: usize) -> Self {
         DecodeError {
             context,
-            offset: term,
-            term: Some(term as u32),
+            location: DecodeLocation::Term(term as u32),
+        }
+    }
+
+    /// An error in the statistics of unit `unit`.
+    pub fn in_unit(context: &'static str, unit: usize) -> Self {
+        DecodeError {
+            context,
+            location: DecodeLocation::Unit(unit),
         }
     }
 }
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.term {
-            Some(t) => write!(f, "decode error in term {t}: {}", self.context),
-            None => write!(f, "decode error at byte {}: {}", self.offset, self.context),
+        match self.location {
+            DecodeLocation::Byte(o) => write!(f, "decode error at byte {o}: {}", self.context),
+            DecodeLocation::Term(t) => write!(f, "decode error in term {t}: {}", self.context),
+            DecodeLocation::Unit(u) => write!(f, "decode error in unit {u}: {}", self.context),
         }
     }
 }

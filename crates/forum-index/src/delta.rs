@@ -171,7 +171,7 @@ impl DeltaIndex {
             .iter()
             .filter_map(|(t, qf)| {
                 let id = base.vocab.get(t)?;
-                let idf = probabilistic_idf(base.num_units(), base.list_len(id));
+                let idf = probabilistic_idf(base.num_units(), base.postings(id).len());
                 (idf > 0.0).then_some((id, f64::from(*qf), idf))
             })
             .collect();

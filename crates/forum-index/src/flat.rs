@@ -128,7 +128,7 @@ pub fn encode_flat<E: Emit>(index: &SegmentIndex, out: &mut E) {
     let mut post_start = 0u64;
     let mut term_end = 0u64;
     for (id, term) in index.vocab.iter() {
-        let len = index.impact_postings(id.as_usize()).len() as u64;
+        let len = index.postings(id).len() as u64;
         term_end += term.len() as u64;
         out.u64(post_start);
         out.u32(len as u32);
@@ -136,8 +136,8 @@ pub fn encode_flat<E: Emit>(index: &SegmentIndex, out: &mut E) {
         post_start += len;
     }
 
-    for t in 0..n_terms {
-        for p in index.impact_postings(t) {
+    for (id, _) in index.vocab.iter() {
+        for p in index.postings(id) {
             out.u32(p.unit.0);
             out.u32(p.tf);
         }
@@ -364,7 +364,7 @@ impl<'a> FlatIndexView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Writer;
+    use crate::codec::{DecodeLocation, Writer};
     use crate::index::IndexBuilder;
 
     fn sample_index() -> SegmentIndex {
@@ -462,7 +462,7 @@ mod tests {
             let got = view_of(&buf, bytes.len()).materialize();
             if version.starts_with("impact") {
                 let err = got.expect_err("swapped impact-order list materialized");
-                assert_eq!(err.term, Some(t as u32), "{err}");
+                assert_eq!(err.location, DecodeLocation::Term(t as u32), "{err}");
                 assert!(err.to_string().contains(&format!("term {t}")), "{err}");
             } else {
                 // A unit-order list is sorted on load, whatever its order.

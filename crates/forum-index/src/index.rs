@@ -117,8 +117,9 @@ fn cap_of(denoms: &[f64], idf: f64, p: Posting) -> f32 {
 }
 
 /// Whether a posting with cap `cap` on unit `unit` may follow one with
-/// `(prev_cap, prev_unit)` in impact order: caps descend, units ascend
-/// on equal caps, and no unit repeats.
+/// `(prev_cap, prev_unit)` in impact order: caps descend, and units
+/// ascend on equal caps. A unit that repeats with a different cap passes
+/// this test; [`SegmentIndex::audit`] looks for those.
 #[inline]
 fn follows_in_impact_order(prev_cap: f32, prev_unit: u32, cap: f32, unit: u32) -> bool {
     cap < prev_cap || (cap == prev_cap && unit > prev_unit)
@@ -194,7 +195,7 @@ fn eq8_weight(denoms: &[f64], unit: u32, tf: u32) -> Option<f64> {
 /// the decode paths, so a non-finite `avg_unique` or `log_tf_sum`, or a
 /// denominator that is NaN, is refused here: a NaN would otherwise
 /// surface as a panic in the first query that scores the unit. The error's
-/// `offset` is the index of the offending unit (`units.len()` for
+/// location is the offending unit (`units.len()` for
 /// `avg_unique`).
 fn unit_denoms(
     units: &[UnitStats],
@@ -202,7 +203,7 @@ fn unit_denoms(
 ) -> Result<Vec<f64>, crate::codec::DecodeError> {
     use crate::codec::DecodeError;
     if !avg_unique.is_finite() {
-        return Err(DecodeError::at(
+        return Err(DecodeError::in_unit(
             "non-finite average unique-term count",
             units.len(),
         ));
@@ -216,7 +217,7 @@ fn unit_denoms(
             if stats.log_tf_sum.is_finite() && !denom.is_nan() {
                 Ok(denom)
             } else {
-                Err(DecodeError::at("non-finite unit log-tf sum", u))
+                Err(DecodeError::in_unit("non-finite unit log-tf sum", u))
             }
         })
         .collect()
@@ -861,22 +862,17 @@ impl SegmentIndex {
 
     /// Number of units containing `term` (the paper's `|I^t|`).
     pub fn unit_frequency(&self, term: &str) -> usize {
-        self.vocab.get(term).map_or(0, |id| self.list_len(id))
+        self.postings_of(term).len()
     }
 
-    /// The length of term `id`'s postings list (0 past the last list).
-    pub(crate) fn list_len(&self, id: TermId) -> usize {
-        self.impacts
-            .get(id.as_usize())
-            .map_or(0, |l| l.postings.len())
+    /// Term `id`'s postings in impact order (empty past the last list).
+    pub(crate) fn postings(&self, id: TermId) -> &[Posting] {
+        self.impacts.get(id.as_usize()).map_or(&[], |l| &l.postings)
     }
 
     /// The postings of term `term`, in impact order (empty when absent).
     fn postings_of(&self, term: &str) -> &[Posting] {
-        self.vocab
-            .get(term)
-            .and_then(|id| self.impacts.get(id.as_usize()))
-            .map_or(&[], |l| &l.postings)
+        self.vocab.get(term).map_or(&[], |id| self.postings(id))
     }
 
     /// The Eq. 7/8 weight of `term` in `unit`:
@@ -1392,17 +1388,12 @@ impl SegmentIndex {
         })
     }
 
-    /// Term `t`'s postings in impact order (empty past the last list),
-    /// for the flat encoder ([`crate::flat`]).
-    pub(crate) fn impact_postings(&self, t: usize) -> &[Posting] {
-        self.impacts.get(t).map_or(&[], |l| &l.postings)
-    }
-
     /// Full integrity audit for `intentmatch doctor`. Verifies every
     /// invariant the query paths rely on without mutating anything:
     ///
     /// * every postings list is strictly in (cap desc, unit asc) order,
-    ///   references only known units and holds no zero term frequency;
+    ///   references only known units, names no unit twice and holds no
+    ///   zero term frequency;
     /// * every cap is finite and equals the `round_up_f32` of the exact
     ///   Eq. 8/9 contribution, recomputed here from the raw unit
     ///   statistics, and each list's `ub` is its first cap;
@@ -1441,8 +1432,10 @@ impl SegmentIndex {
                 self.vocab.len()
             ));
         }
+        // `listed_in[u]` = 1 + the last term whose list named unit `u`.
+        let mut listed_in = vec![0u32; n_units];
         for (t, list) in self.impacts.iter().enumerate() {
-            if let Some(problem) = self.audit_list(list) {
+            if let Some(problem) = self.audit_list(t, list, &mut listed_in) {
                 problems.push(format!("term {t}: {problem}"));
             }
         }
@@ -1560,9 +1553,10 @@ impl SegmentIndex {
     /// unit or with a zero frequency, a cap that is not the round-up of
     /// the exact Eq. 8/9 contribution (recomputed from the raw unit
     /// statistics, as [`Self::top_n_reference`] scores), a break in the
-    /// strict (cap desc, unit asc) order, or a `ub` that is not the first
-    /// cap.
-    fn audit_list(&self, list: &TermImpacts) -> Option<String> {
+    /// strict (cap desc, unit asc) order, a unit named twice, or a `ub`
+    /// that is not the first cap. `listed_in` is the caller's per-unit
+    /// record of the last list (`t + 1`) that named each unit.
+    fn audit_list(&self, t: usize, list: &TermImpacts, listed_in: &mut [u32]) -> Option<String> {
         if list.caps.len() != list.postings.len() {
             return Some(format!(
                 "{} caps for {} postings",
@@ -1610,6 +1604,11 @@ impl SegmentIndex {
                     p.unit.0
                 ));
             }
+            let seen = &mut listed_in[p.unit.as_usize()];
+            if *seen == t as u32 + 1 {
+                return Some(format!("unit {} is listed twice", p.unit.0));
+            }
+            *seen = t as u32 + 1;
         }
         None
     }
@@ -1682,6 +1681,43 @@ mod tests {
         b.add_unit(3, &terms(&["disk", "boot", "linux"]));
         b.add_unit(4, &terms(&["disk", "driver", "crash", "crash"]));
         b.build()
+    }
+
+    #[test]
+    fn audit_reports_a_unit_listed_twice() {
+        // The same unit at two frequencies has two caps, so the list is
+        // still strictly in impact order; only the audit's per-unit record
+        // catches the repeat.
+        let mut idx = sample_index();
+        let raid = idx.vocab.get("raid").unwrap().as_usize();
+        let postings = vec![
+            Posting {
+                unit: UnitId(0),
+                tf: 3,
+            },
+            Posting {
+                unit: UnitId(0),
+                tf: 1,
+            },
+        ];
+        let idf = probabilistic_idf(idx.num_units(), postings.len());
+        let caps: Vec<f32> = postings
+            .iter()
+            .map(|&p| cap_of(&idx.denoms, idf, p))
+            .collect();
+        assert!(caps[0] > caps[1], "{caps:?}");
+        idx.impacts[raid] = TermImpacts {
+            ub: f64::from(caps[0]),
+            postings,
+            caps,
+        };
+        let problems = idx.audit().problems;
+        assert!(
+            problems
+                .iter()
+                .any(|p| p == &format!("term {raid}: unit 0 is listed twice")),
+            "{problems:?}"
+        );
     }
 
     #[test]

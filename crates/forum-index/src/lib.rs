@@ -27,7 +27,7 @@ pub mod flat;
 pub mod index;
 pub mod weighting;
 
-pub use codec::{DecodeError, Emit, Reader, Writer};
+pub use codec::{DecodeError, DecodeLocation, Emit, Reader, Writer};
 pub use delta::{DeltaIndex, DeltaUnit};
 pub use flat::{encode_flat, FlatIndexView};
 pub use index::{
