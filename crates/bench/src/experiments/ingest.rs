@@ -13,12 +13,12 @@
 //!   used to amortize.
 //!
 //! The run asserts the serving invariant along the way: after compaction
-//! the epoch path answers bit-identically to the offline engine.
+//! the epoch path answers bit-identically to the heap pipeline.
 
 use crate::util::{header, print_table, Options};
 use forum_corpus::{Domain, GenConfig};
 use forum_ingest::{IngestConfig, LiveStore};
-use intentmatch::{store, IntentPipeline, PipelineConfig, QueryEngine};
+use intentmatch::{store, IntentPipeline, PipelineConfig};
 use std::time::Instant;
 
 pub fn run(opts: &Options) {
@@ -77,17 +77,16 @@ pub fn run(opts: &Options) {
     drop(union_pipe);
 
     // Serving invariant: the compacted epoch answers exactly like the
-    // offline engine over the reloaded snapshot.
+    // heap pipeline over the reloaded snapshot.
     let (rcoll, rpipe) = store::load(&store_path).expect("reload compacted snapshot");
     let epoch = live.current();
     assert!(!epoch.has_pending());
-    let engine = QueryEngine::new(&rcoll, &rpipe);
     let sample: Vec<usize> = (0..rcoll.len()).step_by(7).collect();
     for &q in &sample {
         assert_eq!(
             epoch.top_k(q as u32, 5),
-            engine.top_k(q, 5),
-            "epoch vs engine diverged at query {q}"
+            rpipe.top_k(&rcoll, q, 5),
+            "epoch vs heap pipeline diverged at query {q}"
         );
     }
 
@@ -124,7 +123,7 @@ pub fn run(opts: &Options) {
     );
     println!(
         "(ingest+compact {:?} vs rebuild {rebuild_wall:?}; {} sample queries asserted \
-         bit-identical epoch vs engine)",
+         bit-identical epoch vs heap pipeline)",
         ingest_wall + compact_wall,
         sample.len()
     );

@@ -13,13 +13,12 @@
 //! construction (and by test).
 
 use crate::collection::PostCollection;
-use crate::par::WorkerPanic;
 use crate::pipeline::{
     default_list_len, query_cluster_groups, run_algo2, HeapMr, IntentPipeline, QueryScratch,
 };
 use forum_obs::json::Json;
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::convert::Infallible;
 
 /// The trace of one intention cluster's part in a query.
 #[derive(Debug, Clone, Default)]
@@ -272,31 +271,17 @@ pub fn explain_top_k(
     let start = std::time::Instant::now();
     let heap = HeapMr::of(collection, pipeline);
     let groups = query_cluster_groups(&pipeline.doc_segments, q);
-    // The runner's step is `Fn + Sync` (it may run on workers); EXPLAIN
-    // runs it inline, so this lock is never contended.
-    let traces: Mutex<Vec<ClusterTrace>> = Mutex::new(Vec::with_capacity(groups.len()));
-    let ranking = run_algo2(
-        &groups,
-        k,
-        None,
-        1,
-        &mut QueryScratch::new(),
-        |group, n, s| {
-            let mut cluster = ClusterTrace {
-                cluster: group.cluster,
-                ranges: group.ranges.clone(),
-                ..ClusterTrace::default()
-            };
-            let scan = heap.step(q, group, n, s, Some(&mut cluster));
-            traces
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(cluster);
-            Ok(scan)
-        },
-    )
-    .unwrap_or_else(|e: WorkerPanic| panic!("{e}"));
-    let clusters = traces.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let mut clusters = Vec::with_capacity(groups.len());
+    let Ok(ranking) = run_algo2(&groups, k, None, &mut QueryScratch::new(), |group, n, s| {
+        let mut cluster = ClusterTrace {
+            cluster: group.cluster,
+            ranges: group.ranges.clone(),
+            ..ClusterTrace::default()
+        };
+        let scan = heap.step(q, group, n, s, Some(&mut cluster));
+        clusters.push(cluster);
+        Ok::<_, Infallible>(scan)
+    });
 
     // Provenance: each ranked document's weighted contributions, in
     // consultation order.

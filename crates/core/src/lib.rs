@@ -39,8 +39,8 @@
 //! * [`pipeline`] — the offline build (steps 1–3) and online matching
 //!   (step 4), with per-phase timings. Algorithm 2 lives here once — a
 //!   per-cluster step ([`pipeline::scan_cluster`]), a fold
-//!   ([`pipeline::fold_weighted`]) and a runner ([`pipeline::run_algo2`])
-//!   — and every query backend calls it.
+//!   ([`pipeline::fold_weighted`]) and an inline runner
+//!   ([`pipeline::run_algo2`]) — and every query backend calls it.
 //! * [`methods`] — the five methods of the paper's evaluation behind one
 //!   [`methods::Matcher`] trait: `FullText`, `LDA`, `Content-MR`,
 //!   `SentIntent-MR` and `IntentIntent-MR`.
@@ -51,10 +51,13 @@
 //! * [`explain`] — per-query EXPLAIN traces: which intention clusters a
 //!   query consulted, each cluster's candidates and combination weight,
 //!   and why each result ranked where.
-//! * [`engine`] — the online serving path: [`engine::QueryEngine`]
-//!   evaluates batches of queries in parallel over the shared immutable
-//!   pipeline with per-worker reusable scratch, bit-identical to the
-//!   sequential [`IntentPipeline::top_k`].
+//! * [`view`] — the mapped store reader ([`StoreView`]), the heap backend
+//!   ([`HeapStore`]) and the one batch runner ([`top_k_many`]), which
+//!   spreads queries over workers with per-worker reusable scratch,
+//!   bit-identical to the sequential [`IntentPipeline::top_k`] for every
+//!   thread count.
+//! * [`engine`] — the fold and cost mapping the shard-parallel serving
+//!   tier shares with the heap path.
 //! * [`par`] — scoped-thread parallel map for the per-document offline
 //!   phases (the paper runs segmentation of its large collection in
 //!   parallel parts).
@@ -80,7 +83,6 @@ pub mod view;
 pub use forum_par as par;
 
 pub use collection::PostCollection;
-pub use engine::QueryEngine;
 pub use eval::{evaluate_method, EvalConfig, MethodEval};
 pub use explain::{explain_top_k, QueryExplain};
 pub use methods::{ContentMrMatcher, FullTextMatcher, LdaMatcher, Matcher, MethodKind, MrMatcher};

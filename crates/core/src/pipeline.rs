@@ -7,7 +7,6 @@
 
 use crate::collection::PostCollection;
 use crate::explain::ClusterTrace;
-use crate::par::WorkerPanic;
 use forum_cluster::{dbscan_sampled_matrix, segment_features, DbscanConfig, PointMatrix};
 use forum_index::{IndexBuilder, SegmentIndex};
 use forum_obs::Registry;
@@ -16,6 +15,7 @@ use forum_text::Segmentation;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 /// Pipeline configuration.
@@ -378,16 +378,15 @@ impl IntentPipeline {
         }));
 
         // A new post is in no index, so its scans exclude nobody.
-        run_algo2(
+        let Ok(out) = run_algo2(
             &refined,
             k,
             None,
-            1,
             &mut QueryScratch::new(),
             |seg, n, scratch| {
                 let terms = doc_ranges_terms(&cmdoc, &seg.ranges);
                 let spec = ScanSpec::new(n, self.weighted_combination, self.weighting);
-                Ok(scan_cluster(
+                Ok::<_, Infallible>(scan_cluster(
                     &self.clusters[seg.cluster].index,
                     &terms,
                     &spec,
@@ -395,8 +394,8 @@ impl IntentPipeline {
                     None,
                 ))
             },
-        )
-        .unwrap_or_else(|e: WorkerPanic| panic!("{e}"))
+        );
+        out
     }
 
     /// Histogram of segments-per-post for Table 3: `hist[i]` = number of
@@ -422,8 +421,8 @@ impl IntentPipeline {
 
 /// Reusable per-worker query scratch: the index-level scoring scratch plus
 /// Algorithm 2's combination accumulator. One per thread; the batch
-/// [`crate::engine::QueryEngine`] reuses it across every query a worker
-/// serves, so the steady-state online path allocates nothing
+/// runner [`crate::view::top_k_many`] reuses it across every query a
+/// worker serves, so the steady-state online path allocates nothing
 /// postings-sized.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
@@ -629,16 +628,13 @@ pub fn default_list_len(k: usize) -> usize {
 }
 
 /// Algorithm 2's runner: runs `step` over a query's cluster `groups` in
-/// consultation order and folds the results once ([`fold_weighted`]).
+/// consultation order on the calling thread, scanning with `scratch`, and
+/// folds the results once ([`fold_weighted`]).
 ///
 /// `k = 0` returns `[]` before any scan. `n` defaults to
-/// [`default_list_len`]. With `workers ≤ 1` the steps run inline on the
-/// calling thread with `scratch`; otherwise on `forum-par` workers, one
-/// [`forum_index::ScoreScratch`] each, whose scan counters are merged into
-/// `scratch` (so [`QueryScratch::take_costs`] sees the whole query either
-/// way). Workers change only where a step runs, never the fold's order,
-/// so the ranking is bit-identical for every worker count. A worker panic
-/// comes back as `E::from(WorkerPanic)`.
+/// [`default_list_len`]. The first step error fails the query. Parallelism
+/// lives outside the runner: across queries in
+/// [`crate::view::top_k_many`], within a query in the sharded fan-out.
 ///
 /// Each call counts one query (`online/queries`) and the whole Algorithm 2
 /// latency (`online/algo2_ns`).
@@ -646,14 +642,11 @@ pub fn run_algo2<G, E, F>(
     groups: &[G],
     k: usize,
     n: Option<usize>,
-    workers: usize,
     scratch: &mut QueryScratch,
-    step: F,
+    mut step: F,
 ) -> Result<Vec<(u32, f64)>, E>
 where
-    G: Sync,
-    E: From<WorkerPanic> + Send,
-    F: Fn(&G, usize, &mut forum_index::ScoreScratch) -> Result<Option<WeightedHits>, E> + Sync,
+    F: FnMut(&G, usize, &mut forum_index::ScoreScratch) -> Result<Option<WeightedHits>, E>,
 {
     if k == 0 {
         return Ok(Vec::new());
@@ -661,29 +654,10 @@ where
     let n = n.unwrap_or_else(|| default_list_len(k));
     let obs = Registry::global();
     let timer = obs.is_enabled().then(Instant::now);
-    let scans: Vec<Option<WeightedHits>> = if workers <= 1 || groups.len() < 2 {
-        groups
-            .iter()
-            .map(|g| step(g, n, &mut scratch.index))
-            .collect::<Result<_, E>>()?
-    } else {
-        let per_cluster = crate::par::try_parallel_map_init_with(
-            groups,
-            workers,
-            forum_index::ScoreScratch::new,
-            |worker_scratch, g| {
-                let scan = step(g, n, worker_scratch);
-                (scan, worker_scratch.costs.take())
-            },
-            |r| obs.record("online/worker_busy_ns", r.busy.as_nanos() as u64),
-        )?;
-        let mut scans = Vec::with_capacity(per_cluster.len());
-        for (scan, costs) in per_cluster {
-            scratch.index.costs.merge(&costs);
-            scans.push(scan?);
-        }
-        scans
-    };
+    let scans: Vec<Option<WeightedHits>> = groups
+        .iter()
+        .map(|g| step(g, n, &mut scratch.index))
+        .collect::<Result<_, E>>()?;
     let out = fold_weighted(
         &mut scratch.acc,
         scans
@@ -701,7 +675,7 @@ where
 
 /// The heap backend of Algorithm 2: collection-resident queries over
 /// in-memory cluster indices. The intention pipeline, the Content-MR
-/// ablation, the batch engine and EXPLAIN all query through it.
+/// ablation, the batch runner and EXPLAIN all query through it.
 #[derive(Clone, Copy)]
 pub(crate) struct HeapMr<'a> {
     pub(crate) collection: &'a PostCollection,
@@ -747,21 +721,6 @@ impl<'a> HeapMr<'a> {
         )
     }
 
-    /// Algorithm 2 for query `q` over its `groups`, scanned by `workers`.
-    pub(crate) fn run(
-        &self,
-        q: usize,
-        groups: &[QueryClusterGroup],
-        k: usize,
-        n: Option<usize>,
-        workers: usize,
-        scratch: &mut QueryScratch,
-    ) -> Result<Vec<(u32, f64)>, WorkerPanic> {
-        run_algo2(groups, k, n, workers, scratch, |g, n, s| {
-            Ok(self.step(q, g, n, s, None))
-        })
-    }
-
     /// Algorithm 2 for query `q` on the calling thread.
     pub(crate) fn top_k(
         &self,
@@ -771,8 +730,10 @@ impl<'a> HeapMr<'a> {
         scratch: &mut QueryScratch,
     ) -> Vec<(u32, f64)> {
         let groups = query_cluster_groups(self.doc_segments, q);
-        self.run(q, &groups, k, n, 1, scratch)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let Ok(out) = run_algo2(&groups, k, n, scratch, |g, n, s| {
+            Ok::<_, Infallible>(self.step(q, g, n, s, None))
+        });
+        out
     }
 }
 

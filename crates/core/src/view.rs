@@ -556,7 +556,7 @@ impl StoreView {
                     payload_abs: e.offset + prefix_len,
                 })
             };
-            build().map_err(|e| e.to_string())
+            build().map_err(cached_message)
         });
         r.as_ref().map_err(|e| StoreError::Format(e.clone()))
     }
@@ -577,7 +577,7 @@ impl StoreView {
     pub fn document(&self, q: usize) -> Result<Arc<CmDoc>, StoreError> {
         self.check_doc(q)?;
         let r = self.doc_cache[q].get_or_init(|| {
-            let text = self.doc_text(q).map_err(|e| e.to_string())?;
+            let text = self.doc_text(q).map_err(cached_message)?;
             let obs = Registry::global();
             obs.incr("store/lazy_loads", 1);
             Ok(Arc::new(CmDoc::parsed(Document::parse_clean(
@@ -603,7 +603,7 @@ impl StoreView {
                     Registry::global().incr("store/lazy_loads", 1);
                     Ok(Arc::new(segs))
                 }
-                Err(e) => Err(e.to_string()),
+                Err(e) => Err(cached_message(e)),
             }
         });
         r.clone().map_err(StoreError::Format)
@@ -633,7 +633,7 @@ impl StoreView {
                 Registry::global().incr("store/lazy_loads", 1);
                 Ok(Arc::new(ix))
             }
-            Err(e) => Err(e.to_string()),
+            Err(e) => Err(cached_message(e)),
         });
         r.clone().map_err(StoreError::Format)
     }
@@ -745,7 +745,7 @@ impl StoreView {
             Some(self.document(q)?)
         };
         let weighted = self.weighted_combination();
-        run_algo2(&groups, k, None, 1, scratch, |group, n, s| {
+        run_algo2(&groups, k, None, scratch, |group, n, s| {
             let doc = doc.as_ref().expect("document loaded for non-empty groups");
             let index = self.cluster(group.cluster)?;
             let terms = doc_ranges_terms(doc, &group.ranges);
@@ -756,6 +756,16 @@ impl StoreView {
             };
             Ok(scan_cluster(&index, &terms, &spec, s, None))
         })
+    }
+}
+
+/// The text a lazily cached failure keeps; it is re-raised as
+/// [`StoreError::Format`], so a format error keeps only its message and
+/// the report does not repeat the prefix.
+fn cached_message(e: StoreError) -> String {
+    match e {
+        StoreError::Format(msg) => msg,
+        e => e.to_string(),
     }
 }
 
@@ -861,15 +871,16 @@ pub(crate) fn hydrate(view: &StoreView) -> Result<(PostCollection, IntentPipelin
     ))
 }
 
-/// Anything that can answer Algorithm 2 top-k queries — the trait both
-/// the heap path ([`HeapStore`], [`crate::engine::QueryEngine`]) and the
-/// mapped path ([`StoreView`]) implement, so callers and equivalence
-/// tests swap them freely.
+/// Anything that can answer Algorithm 2 top-k queries — the trait the
+/// heap path ([`HeapStore`]), the mapped path ([`StoreView`]) and the live
+/// epoch (`forum_ingest::LiveEpoch`) implement, so [`top_k_many`] batches
+/// over any of them and equivalence tests swap them freely.
 pub trait QuerySource: Sync {
     /// Number of queryable documents.
     fn num_docs(&self) -> usize;
 
-    /// Top-k related posts for query `q` (`n = 2k`).
+    /// Top-k related posts for query `q` (`n = 2k`), scanning with
+    /// `scratch`.
     fn query_top_k(
         &self,
         q: usize,
@@ -893,15 +904,17 @@ impl QuerySource for StoreView {
     }
 }
 
-/// The fully-decoded heap pair behind the [`QuerySource`] trait.
-pub struct HeapStore {
+/// A built (or loaded) collection and pipeline behind the [`QuerySource`]
+/// trait: the heap backend, bit-identical to [`IntentPipeline::top_k`].
+#[derive(Debug, Clone, Copy)]
+pub struct HeapStore<'a> {
     /// The parsed collection.
-    pub collection: PostCollection,
-    /// The decoded pipeline.
-    pub pipeline: IntentPipeline,
+    pub collection: &'a PostCollection,
+    /// The pipeline built over it.
+    pub pipeline: &'a IntentPipeline,
 }
 
-impl QuerySource for HeapStore {
+impl QuerySource for HeapStore<'_> {
     fn num_docs(&self) -> usize {
         self.collection.len()
     }
@@ -912,45 +925,51 @@ impl QuerySource for HeapStore {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<(u32, f64)>, StoreError> {
-        Ok(HeapMr::of(&self.collection, &self.pipeline).top_k(q, k, None, scratch))
+        Ok(HeapMr::of(self.collection, self.pipeline).top_k(q, k, None, scratch))
     }
 }
 
-impl QuerySource for crate::engine::QueryEngine<'_> {
-    fn num_docs(&self) -> usize {
-        self.collection().len()
-    }
-
-    /// The engine manages its own per-worker scratches; the caller's
-    /// scratch is unused.
-    fn query_top_k(
-        &self,
-        q: usize,
-        k: usize,
-        _scratch: &mut QueryScratch,
-    ) -> Result<Vec<(u32, f64)>, StoreError> {
-        Ok(self.try_top_k(q, k, None)?)
-    }
-}
-
-/// Evaluates `queries` over `source` with `threads` workers (contiguous
-/// chunks, one scratch per worker), returning per-query results in input
-/// order. Single-threaded for `threads <= 1`. Results are bit-identical
-/// for every thread count — the property the equivalence tests sweep at
-/// 1/2/4/8 threads. A worker panic fails the batch with an error.
+/// The batch runner: evaluates `queries` over `source` with `threads`
+/// workers (`0` = one per core), returning per-query results in input
+/// order. Queries are split into contiguous chunks, one per worker, and
+/// each worker reuses one [`QueryScratch`] across its chunk. Workers
+/// change only where a query runs, so results are bit-identical for every
+/// thread count — the property the equivalence tests sweep at 1/2/4/8
+/// threads. A query error or a worker panic fails the batch.
+///
+/// Metrics (process-wide [`Registry`], when enabled): per batch,
+/// `online/batch_ns` (latency), `online/batch_queries` (size) and the
+/// `online/qps` gauge (throughput); per worker, `online/worker_busy_ns`
+/// and an `online/batch_workers` count.
 pub fn top_k_many<S: QuerySource>(
     source: &S,
     queries: &[usize],
     k: usize,
     threads: usize,
 ) -> Result<Vec<Vec<(u32, f64)>>, StoreError> {
-    crate::par::try_parallel_map_init_with(
+    let obs = Registry::global();
+    let timer = obs.is_enabled().then(Instant::now);
+    let results = crate::par::try_parallel_map_init_with(
         queries,
-        threads.max(1),
+        threads,
         QueryScratch::new,
         |scratch, &q| source.query_top_k(q, k, scratch),
-        |_| {},
+        |r| {
+            obs.record("online/worker_busy_ns", r.busy.as_nanos() as u64);
+            obs.incr("online/batch_workers", 1);
+        },
     )?
     .into_iter()
-    .collect()
+    .collect::<Result<Vec<_>, _>>()?;
+    if let Some(t) = timer {
+        let elapsed = t.elapsed();
+        obs.incr("online/batch_queries", queries.len() as u64);
+        obs.record_duration("online/batch_ns", elapsed);
+        let secs = elapsed.as_secs_f64();
+        if secs > 0.0 {
+            obs.gauge("online/qps")
+                .set((queries.len() as f64 / secs) as i64);
+        }
+    }
+    Ok(results)
 }

@@ -1,9 +1,9 @@
-//! Determinism contract of the batch query engine: whatever the thread
-//! count, whatever the configuration, [`QueryEngine`] results are
+//! Determinism contract of the batch runner: whatever the thread count,
+//! whatever the configuration, [`top_k_many`] over the heap backend is
 //! bit-identical to the sequential [`IntentPipeline::top_k`].
 
 use intentmatch::pipeline::PipelineConfig;
-use intentmatch::{IntentPipeline, PostCollection, QueryEngine};
+use intentmatch::{top_k_many, HeapStore, IntentPipeline, PostCollection};
 
 use forum_corpus::{Corpus, Domain, GenConfig};
 use proptest::prelude::*;
@@ -25,8 +25,11 @@ fn assert_batch_equals_sequential(coll: &PostCollection, pipe: &IntentPipeline, 
     let queries: Vec<usize> = (0..coll.len()).collect();
     let expected: Vec<Vec<(u32, f64)>> = queries.iter().map(|&q| pipe.top_k(coll, q, k)).collect();
     for threads in [1usize, 2, 4, 8] {
-        let engine = QueryEngine::new(coll, pipe).with_threads(threads);
-        let got = engine.top_k_batch(&queries, k);
+        let heap = HeapStore {
+            collection: coll,
+            pipeline: pipe,
+        };
+        let got = top_k_many(&heap, &queries, k, threads).unwrap();
         assert_eq!(got, expected, "threads={threads}");
     }
 }
@@ -61,21 +64,26 @@ fn batch_matches_sequential_unweighted() {
 }
 
 #[test]
-fn intra_query_parallelism_is_bit_identical() {
-    let (coll, pipe) = build(150, 9004, &PipelineConfig::default());
-    let forced = QueryEngine::new(&coll, &pipe)
-        .with_threads(4)
-        .with_intra_query_min_clusters(1);
-    for q in 0..coll.len() {
-        assert_eq!(forced.top_k(q, 5), pipe.top_k(&coll, q, 5), "query {q}");
+fn batch_keeps_input_order_and_accepts_an_empty_batch() {
+    let (coll, pipe) = build(120, 31, &PipelineConfig::default());
+    let heap = HeapStore {
+        collection: &coll,
+        pipeline: &pipe,
+    };
+    let queries: Vec<usize> = (0..coll.len()).rev().collect();
+    let batch = top_k_many(&heap, &queries, 5, 3).unwrap();
+    assert_eq!(batch.len(), queries.len());
+    for (i, &q) in queries.iter().enumerate() {
+        assert_eq!(batch[i], pipe.top_k(&coll, q, 5), "slot {i} (query {q})");
     }
+    assert!(top_k_many(&heap, &[], 5, 0).unwrap().is_empty());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random corpora, seeds, thread counts, k and refinement settings:
-    /// the batch engine always reproduces the sequential ranking exactly.
+    /// the batch runner always reproduces the sequential ranking exactly.
     #[test]
     fn batch_equivalence_holds_for_random_corpora(
         num_posts in 30usize..90,
@@ -92,7 +100,10 @@ proptest! {
         let queries: Vec<usize> = (0..coll.len()).step_by(3).collect();
         let expected: Vec<Vec<(u32, f64)>> =
             queries.iter().map(|&q| pipe.top_k(&coll, q, k)).collect();
-        let engine = QueryEngine::new(&coll, &pipe).with_threads(threads);
-        prop_assert_eq!(engine.top_k_batch(&queries, k), expected);
+        let heap = HeapStore {
+            collection: &coll,
+            pipeline: &pipe,
+        };
+        prop_assert_eq!(top_k_many(&heap, &queries, k, threads).unwrap(), expected);
     }
 }

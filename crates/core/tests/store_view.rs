@@ -14,7 +14,7 @@ use intentmatch::pipeline::{query_cluster_groups, PipelineConfig};
 use intentmatch::store::{self, StoreError};
 use intentmatch::store_v2;
 use intentmatch::view::{top_k_many, BackingMode, HeapStore, StoreView};
-use intentmatch::{IntentPipeline, PostCollection, QueryEngine};
+use intentmatch::{IntentPipeline, PostCollection};
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -76,8 +76,8 @@ fn property_bit_identical_across_thread_counts() {
     let queries: Vec<usize> = (0..coll.len()).collect();
     let (heap_coll, heap_pipe) = store::decode(&store::encode(coll, pipe)).expect("clone state");
     let heap = HeapStore {
-        collection: heap_coll,
-        pipeline: heap_pipe,
+        collection: &heap_coll,
+        pipeline: &heap_pipe,
     };
     let baseline = top_k_many(&heap, &queries, K, 1).expect("heap baseline");
     let view = StoreView::open(path).expect("open");
@@ -87,11 +87,14 @@ fn property_bit_identical_across_thread_counts() {
         for (q, (a, b)) in baseline.iter().zip(&mapped).enumerate() {
             assert_eq!(bits(a), bits(b), "query {q} at {threads} threads");
         }
-        // The engine-accelerated heap path sits behind the same trait.
-        let engine = QueryEngine::new(coll, pipe).with_threads(threads);
-        let via_engine = top_k_many(&engine, &queries, K, 1).expect("engine batch");
-        for (q, (a, b)) in baseline.iter().zip(&via_engine).enumerate() {
-            assert_eq!(bits(a), bits(b), "engine query {q} at {threads} threads");
+        // The heap path over the original build sits behind the same trait.
+        let original = HeapStore {
+            collection: coll,
+            pipeline: pipe,
+        };
+        let via_heap = top_k_many(&original, &queries, K, threads).expect("heap batch");
+        for (q, (a, b)) in baseline.iter().zip(&via_heap).enumerate() {
+            assert_eq!(bits(a), bits(b), "heap query {q} at {threads} threads");
         }
     }
 }

@@ -25,12 +25,14 @@
 //! compacted v2 store likewise answers from the header alone.
 //!
 //! `--batch` takes comma-separated document ids and inclusive ranges
-//! (`0,5,10-14`) and evaluates them concurrently over the loaded store
-//! with [`intentmatch::QueryEngine`]; `--threads T` bounds the workers
-//! (`0`, the default, uses one per core). Results are identical to
-//! issuing the same `--doc` queries one at a time. `index --threads T`
-//! accepts the same spelling and parallelises the offline build's
-//! clustering phase; labels are bit-identical for every thread count.
+//! (`0,5,10-14`) and evaluates them concurrently with the batch runner
+//! [`intentmatch::top_k_many`] — over the live store (pending WAL writes
+//! included) or, with `--mapped`, the mapped view; `--threads T` bounds
+//! the workers (`0`, the default, uses one per core). Results are
+//! identical to issuing the same `--doc` queries one at a time.
+//! `index --threads T` accepts the same spelling and parallelises the
+//! offline build's clustering phase; labels are bit-identical for every
+//! thread count.
 //!
 //! `ingest` appends fsync'd records to `<store>.wal` and serves them from
 //! delta indices — `query` and `stats` replay the WAL automatically — and
@@ -69,7 +71,7 @@
 //! scraped `/metrics` and `/traces` artifacts offline, for CI.
 
 use forum_ingest::{IngestConfig, LiveStore};
-use intentmatch::{explain, store, IntentPipeline, PipelineConfig, PostCollection};
+use intentmatch::{explain, store, IntentPipeline, PipelineConfig, PostCollection, QuerySource};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::ExitCode;
@@ -376,53 +378,20 @@ fn cmd_query(args: &[String]) -> CliResult {
         IngestConfig::default(),
     )?;
     let epoch = live.current();
-    let base = epoch.base.clone();
-    let (collection, pipeline) = (&base.collection, &base.pipeline);
     let num_docs = epoch.num_docs();
 
     if let Some(spec) = batch {
         if doc.is_some() || text.is_some() {
             return Err("give exactly one of --doc, --text or --batch".into());
         }
-        let queries = parse_batch_spec(&spec)?;
-        if let Some(&bad) = queries.iter().find(|&&q| q >= num_docs) {
-            return Err(format!("doc {bad} out of range (collection has {num_docs})").into());
-        }
-        let started = std::time::Instant::now();
-        let results: Vec<Vec<(u32, f64)>> = if epoch.has_pending() {
-            // Pending writes: evaluate over the epoch view (base scan with
-            // tombstones + delta scan), one query at a time.
-            queries.iter().map(|&q| epoch.top_k(q as u32, k)).collect()
-        } else {
-            let engine = intentmatch::QueryEngine::new(collection, pipeline).with_threads(threads);
-            engine.top_k_batch(&queries, k)
-        };
-        let elapsed = started.elapsed();
-        for (q, hits) in queries.iter().zip(&results) {
-            println!("query #{q}:");
-            if hits.is_empty() {
-                println!("  no related posts found");
-            }
-            for &(d, score) in hits {
-                println!("  {score:>8.4}  #{d}");
-            }
-        }
-        eprintln!(
-            "{} queries in {elapsed:?} ({:.0} queries/s, {} thread(s))",
-            queries.len(),
-            queries.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-            if threads == 0 {
-                "auto".to_string()
-            } else {
-                threads.to_string()
-            }
-        );
+        run_batch(&*epoch, &spec, k, threads)?;
         if let Some(path) = metrics_out {
             dump_metrics(&path)?;
         }
         return Ok(());
     }
 
+    let base = &epoch.base;
     let hits = match (doc, text) {
         (Some(d), None) => {
             if d >= num_docs {
@@ -434,16 +403,16 @@ fn cmd_query(args: &[String]) -> CliResult {
                                 `intentmatch compact` first"
                         .into());
                 }
-                let trace = explain::explain_top_k(pipeline, collection, d, k, None);
+                let trace = explain::explain_top_k(&base.pipeline, &base.collection, d, k, None);
                 print!("{}", trace.render());
                 trace.ranking()
-            } else if epoch.has_pending() {
-                epoch.top_k(d as u32, k)
             } else {
-                pipeline.top_k(collection, d, k)
+                epoch.top_k(d as u32, k)
             }
         }
-        (None, Some(t)) => pipeline.match_new_post(&PipelineConfig::default(), &t, k),
+        (None, Some(t)) => base
+            .pipeline
+            .match_new_post(&PipelineConfig::default(), &t, k),
         _ => return Err("give exactly one of --doc, --text or --batch".into()),
     };
     if hits.is_empty() {
@@ -456,6 +425,41 @@ fn cmd_query(args: &[String]) -> CliResult {
     if let Some(path) = metrics_out {
         dump_metrics(&path)?;
     }
+    Ok(())
+}
+
+/// `query --batch`: evaluates the doc list `spec` through the batch runner
+/// ([`intentmatch::top_k_many`]) over `source` on `threads` workers (`0` =
+/// one per core), prints one block per query, and reports the throughput
+/// on stderr.
+fn run_batch(source: &impl QuerySource, spec: &str, k: usize, threads: usize) -> CliResult {
+    let queries = parse_batch_spec(spec)?;
+    let num_docs = source.num_docs();
+    if let Some(&bad) = queries.iter().find(|&&q| q >= num_docs) {
+        return Err(format!("doc {bad} out of range (collection has {num_docs})").into());
+    }
+    let started = std::time::Instant::now();
+    let results = intentmatch::top_k_many(source, &queries, k, threads)?;
+    let elapsed = started.elapsed();
+    for (q, hits) in queries.iter().zip(&results) {
+        println!("query #{q}:");
+        if hits.is_empty() {
+            println!("  no related posts found");
+        }
+        for &(d, score) in hits {
+            println!("  {score:>8.4}  #{d}");
+        }
+    }
+    eprintln!(
+        "{} queries in {elapsed:?} ({:.0} queries/s, {} thread(s))",
+        queries.len(),
+        queries.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+        if threads == 0 {
+            "auto".to_string()
+        } else {
+            threads.to_string()
+        }
+    );
     Ok(())
 }
 
@@ -503,32 +507,9 @@ fn query_mapped(
             }
         }
         (None, Some(spec)) => {
-            let queries = parse_batch_spec(spec)?;
-            if let Some(&bad) = queries.iter().find(|&&q| q >= num_docs) {
-                return Err(format!("doc {bad} out of range (collection has {num_docs})").into());
-            }
-            let threads = if threads == 0 {
-                std::thread::available_parallelism().map_or(1, |n| n.get())
-            } else {
-                threads
-            };
-            let started = std::time::Instant::now();
-            let results = intentmatch::top_k_many(&view, &queries, k, threads)?;
-            let elapsed = started.elapsed();
-            for (q, hits) in queries.iter().zip(&results) {
-                println!("query #{q}:");
-                if hits.is_empty() {
-                    println!("  no related posts found");
-                }
-                for &(d, score) in hits {
-                    println!("  {score:>8.4}  #{d}");
-                }
-            }
+            run_batch(&view, spec, k, threads)?;
             eprintln!(
-                "{} queries in {elapsed:?} ({:.0} queries/s, {threads} thread(s), \
-                 {} backing, {}/{} clusters resident)",
-                queries.len(),
-                queries.len() as f64 / elapsed.as_secs_f64().max(1e-9),
+                "{} backing, {}/{} clusters resident",
                 view.backing_name(),
                 view.num_resident_clusters(),
                 view.num_clusters(),

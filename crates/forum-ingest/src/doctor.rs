@@ -2,7 +2,9 @@
 //! `intentmatch doctor`.
 //!
 //! [`diagnose`] inspects a store *without mutating anything*: the
-//! snapshot is decoded with `intentmatch::store::load`, every per-cluster
+//! snapshot is decoded — a sectioned store section by section through
+//! `intentmatch::StoreView`, so one bad cluster does not hide the others;
+//! a v1 store whole with `intentmatch::store::load` — every per-cluster
 //! [`forum_index::SegmentIndex`] runs its full integrity
 //! [`audit`](forum_index::SegmentIndex::audit) (postings order, stored
 //! statistics vs recomputation, impact caps vs the exact Eq. 8/9
@@ -20,11 +22,14 @@
 use crate::ingest::snapshot_tag;
 use crate::wal::{self, WalInspection, WalRecord};
 use crate::wal_path_for;
-use forum_index::IndexAudit;
+use forum_index::{IndexAudit, SegmentIndex};
 use forum_obs::json::Json;
-use intentmatch::store;
+use intentmatch::pipeline::RefinedSegment;
+use intentmatch::store::{self, StoreError};
+use intentmatch::StoreView;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Pending-delta fraction above which the report warns that a compaction
 /// is overdue (the drift objective's default ceiling).
@@ -286,16 +291,12 @@ pub fn diagnose(store_path: &Path) -> DoctorReport {
     }
 
     // 1. The snapshot must decode; every decode failure is a hard fail.
-    let (collection, pipeline) = match store::load(store_path) {
-        Ok(loaded) => loaded,
-        Err(e) => {
-            report.problems.push(format!("snapshot does not load: {e}"));
-            return report;
-        }
+    let Some(snapshot) = decode(store_path, report.store_format, &mut report.problems) else {
+        return report;
     };
-    report.num_docs = collection.len();
-    report.num_clusters = pipeline.num_clusters();
-    report.num_noise = pipeline.num_noise;
+    report.num_docs = snapshot.num_docs;
+    report.num_clusters = snapshot.clusters.len();
+    report.num_noise = snapshot.num_noise;
     report.snapshot_tag = snapshot_tag(store_path).ok();
     if report.snapshot_tag.is_none() {
         report
@@ -303,38 +304,41 @@ pub fn diagnose(store_path: &Path) -> DoctorReport {
             .push("snapshot unreadable while fingerprinting".into());
     }
 
-    // 2. Cross-section consistency of the decoded pipeline.
-    if pipeline.centroids.len() != pipeline.clusters.len() {
+    // 2. Cross-section consistency of the decoded snapshot.
+    if snapshot.num_centroids != snapshot.clusters.len() {
         report.problems.push(format!(
             "{} centroids for {} clusters",
-            pipeline.centroids.len(),
-            pipeline.clusters.len()
+            snapshot.num_centroids,
+            snapshot.clusters.len()
         ));
     }
-    if pipeline.doc_segments.len() != collection.len() {
-        report.problems.push(format!(
-            "segment table covers {} docs but the collection has {}",
-            pipeline.doc_segments.len(),
-            collection.len()
-        ));
-    }
-    for (d, segments) in pipeline.doc_segments.iter().enumerate() {
-        if let Some(s) = segments
-            .iter()
-            .find(|s| s.cluster >= pipeline.clusters.len())
-        {
+    if let Some(doc_segments) = &snapshot.doc_segments {
+        if doc_segments.len() != snapshot.num_docs {
             report.problems.push(format!(
-                "doc {d} has a segment in unknown cluster {}",
-                s.cluster
+                "segment table covers {} docs but the collection has {}",
+                doc_segments.len(),
+                snapshot.num_docs
             ));
+        }
+        for (d, segments) in doc_segments.iter().enumerate() {
+            if let Some(s) = segments
+                .iter()
+                .find(|s| s.cluster >= snapshot.clusters.len())
+            {
+                report.problems.push(format!(
+                    "doc {d} has a segment in unknown cluster {}",
+                    s.cluster
+                ));
+            }
         }
     }
 
     // 3. Per-cluster index audits + the owner census (orphan detection
     //    needs the collection size, which the index cannot know).
-    let mut docs_per_cluster = Vec::with_capacity(pipeline.clusters.len());
-    for (c, cluster) in pipeline.clusters.iter().enumerate() {
-        let audit = cluster.index.audit();
+    let mut docs_per_cluster = Vec::with_capacity(snapshot.clusters.len());
+    for (c, index) in snapshot.clusters.iter().enumerate() {
+        let Some(index) = index else { continue };
+        let audit = index.audit();
         for problem in &audit.problems {
             report.problems.push(format!("cluster {c}: {problem}"));
         }
@@ -342,38 +346,39 @@ pub fn diagnose(store_path: &Path) -> DoctorReport {
         // per refined segment, appended in doc order), so corruption in
         // either shows up as a multiset mismatch; owners beyond the
         // collection are orphans even if the multisets happen to agree.
-        let mut actual_owners: Vec<u32> = (0..cluster.index.num_units())
-            .map(|u| cluster.index.owner(forum_index::UnitId(u as u32)))
+        let mut actual_owners: Vec<u32> = (0..index.num_units())
+            .map(|u| index.owner(forum_index::UnitId(u as u32)))
             .collect();
         if let Some(&orphan) = actual_owners
             .iter()
-            .find(|&&o| o as usize >= collection.len())
+            .find(|&&o| o as usize >= snapshot.num_docs)
         {
             report.problems.push(format!(
                 "cluster {c}: a unit is owned by orphaned doc {orphan} \
                  (collection has {})",
-                collection.len()
+                snapshot.num_docs
             ));
         }
-        let mut expected_owners: Vec<u32> = pipeline
-            .doc_segments
-            .iter()
-            .enumerate()
-            .flat_map(|(d, segs)| {
-                segs.iter()
-                    .filter(|s| s.cluster == c)
-                    .map(move |_| d as u32)
-            })
-            .collect();
-        actual_owners.sort_unstable();
-        expected_owners.sort_unstable();
-        if actual_owners != expected_owners {
-            report.problems.push(format!(
-                "cluster {c}: index owners disagree with the segment table \
-                 ({} unit(s) vs {} refined segment(s))",
-                actual_owners.len(),
-                expected_owners.len()
-            ));
+        if let Some(doc_segments) = &snapshot.doc_segments {
+            let mut expected_owners: Vec<u32> = doc_segments
+                .iter()
+                .enumerate()
+                .flat_map(|(d, segs)| {
+                    segs.iter()
+                        .filter(|s| s.cluster == c)
+                        .map(move |_| d as u32)
+                })
+                .collect();
+            actual_owners.sort_unstable();
+            expected_owners.sort_unstable();
+            if actual_owners != expected_owners {
+                report.problems.push(format!(
+                    "cluster {c}: index owners disagree with the segment table \
+                     ({} unit(s) vs {} refined segment(s))",
+                    actual_owners.len(),
+                    expected_owners.len()
+                ));
+            }
         }
         docs_per_cluster.push(audit.owners);
         report.clusters.push(ClusterHealth { cluster: c, audit });
@@ -424,7 +429,7 @@ pub fn diagnose(store_path: &Path) -> DoctorReport {
     // Replay the records in order to validate their referents: an Add
     // extends the id space, a Delete/Update must hit a live id.
     if report.wal.tag_matches {
-        let mut next_doc = collection.len() as u64;
+        let mut next_doc = snapshot.num_docs as u64;
         for (i, rec) in report.wal.records.iter().enumerate() {
             match rec {
                 WalRecord::Add { .. } => {
@@ -451,7 +456,7 @@ pub fn diagnose(store_path: &Path) -> DoctorReport {
                 }
             }
         }
-        report.delta_base_ratio = report.pending_adds as f64 / collection.len().max(1) as f64;
+        report.delta_base_ratio = report.pending_adds as f64 / snapshot.num_docs.max(1) as f64;
         if report.delta_base_ratio > DELTA_RATIO_WARN {
             report.warnings.push(format!(
                 "pending delta is {:.0}% of the base — run `intentmatch compact`",
@@ -460,6 +465,73 @@ pub fn diagnose(store_path: &Path) -> DoctorReport {
         }
     }
     report
+}
+
+/// What the audit reads of a decoded snapshot.
+struct Snapshot {
+    num_docs: usize,
+    num_noise: usize,
+    num_centroids: usize,
+    /// Every document's refined segments; `None` when any failed to
+    /// decode.
+    doc_segments: Option<Vec<Vec<RefinedSegment>>>,
+    /// One index per cluster; `None` for a cluster that failed to decode.
+    clusters: Vec<Option<Arc<SegmentIndex>>>,
+}
+
+/// Decodes the snapshot, recording every decode failure in `problems`.
+///
+/// A sectioned store (`format` 2 or 3) is read section by section through
+/// a [`StoreView`] — the header's counts, every document, the raw and
+/// refined segmentations, the centroids and each cluster on its own — so
+/// one section that fails to decode leaves the rest audited and every bad
+/// cluster named. A v1 store decodes whole or not at all. `None` when
+/// nothing could be read.
+fn decode(store_path: &Path, format: u32, problems: &mut Vec<String>) -> Option<Snapshot> {
+    let mut fail = |e: StoreError| problems.push(format!("snapshot does not load: {e}"));
+    if format < 2 {
+        let (collection, pipeline) = store::load(store_path).map_err(&mut fail).ok()?;
+        return Some(Snapshot {
+            num_docs: collection.len(),
+            num_noise: pipeline.num_noise,
+            num_centroids: pipeline.centroids.len(),
+            doc_segments: Some(pipeline.doc_segments),
+            clusters: pipeline
+                .clusters
+                .into_iter()
+                .map(|c| Some(Arc::new(c.index)))
+                .collect(),
+        });
+    }
+    let view = StoreView::open(store_path).map_err(&mut fail).ok()?;
+    if let Some(e) = (0..view.num_docs()).find_map(|d| view.doc_text(d).err()) {
+        fail(e);
+    }
+    if let Err(e) = view.raw_segmentations() {
+        fail(e);
+    }
+    let num_centroids = match view.centroids() {
+        Ok(centroids) => centroids.len(),
+        Err(e) => {
+            fail(e);
+            view.num_clusters()
+        }
+    };
+    let doc_segments = (0..view.num_docs())
+        .map(|d| view.doc_segments(d).map(|segs| segs.to_vec()))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(&mut fail)
+        .ok();
+    let clusters = (0..view.num_clusters())
+        .map(|c| view.cluster(c).map_err(&mut fail).ok())
+        .collect();
+    Some(Snapshot {
+        num_docs: view.num_docs(),
+        num_noise: view.num_noise(),
+        num_centroids,
+        doc_segments,
+        clusters,
+    })
 }
 
 #[cfg(test)]
@@ -676,10 +748,10 @@ mod tests {
     }
 
     /// Swaps the first two postings of the first list with at least two
-    /// in cluster 0's section, then re-stamps that section's checksum, the
+    /// in `cluster`'s section, then re-stamps that section's checksum, the
     /// directory's and the header's, so only the postings order is wrong.
     /// Returns the term id of the list.
-    fn swap_two_postings_and_restamp(bytes: &mut [u8]) -> u32 {
+    fn swap_two_postings_and_restamp(bytes: &mut [u8], cluster: u32) -> u32 {
         use intentmatch::store_v2::{self, kind, DIR_ENTRY_BYTES};
         let u32_at = |b: &[u8], pos: usize| u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap());
         let u64_at = |b: &[u8], pos: usize| u64::from_le_bytes(b[pos..pos + 8].try_into().unwrap());
@@ -690,8 +762,8 @@ mod tests {
             store_v2::parse_directory(&bytes[dir..dir + header.dir_len as usize]).unwrap();
         let pos = entries
             .iter()
-            .position(|e| e.kind == kind::CLUSTER && e.index == 0)
-            .expect("cluster 0 section");
+            .position(|e| e.kind == kind::CLUSTER && e.index == cluster)
+            .expect("cluster section");
         let sec = entries[pos].offset as usize;
         let section = &mut bytes[sec..sec + entries[pos].len as usize];
         let (n_terms, n_units) = (u32_at(section, 8) as usize, u32_at(section, 12) as usize);
@@ -719,7 +791,7 @@ mod tests {
     fn postings_out_of_impact_order_are_refused_by_every_reader() {
         let path = build_store("swapped.imp");
         let mut bytes = std::fs::read(&path).unwrap();
-        let t = swap_two_postings_and_restamp(&mut bytes);
+        let t = swap_two_postings_and_restamp(&mut bytes, 0);
         std::fs::write(&path, &bytes).unwrap();
         let names_term = |msg: &str| msg.contains(&format!("term {t}"));
         assert!(
@@ -746,6 +818,49 @@ mod tests {
             "doctor names no term: {:?}",
             report.problems
         );
+    }
+
+    #[test]
+    fn doctor_names_every_bad_cluster_and_keeps_the_counts() {
+        let path = temp_store("swapped-two.imp");
+        std::fs::remove_file(crate::wal_path_for(&path)).ok();
+        let corpus = forum_corpus::Corpus::generate(&forum_corpus::GenConfig {
+            domain: forum_corpus::Domain::TechSupport,
+            num_posts: 80,
+            seed: 5301,
+        });
+        let collection = PostCollection::from_corpus(&corpus);
+        let pipeline = IntentPipeline::build(&collection, &PipelineConfig::default());
+        intentmatch::store::save(&path, &collection, &pipeline).unwrap();
+        let clean = diagnose(&path);
+        assert!(clean.healthy(), "problems: {:?}", clean.problems);
+        assert!(clean.num_clusters >= 2, "need two clusters to corrupt");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = clean.num_clusters as u32 - 1;
+        let terms = [
+            (0, swap_two_postings_and_restamp(&mut bytes, 0)),
+            (last, swap_two_postings_and_restamp(&mut bytes, last)),
+        ];
+        std::fs::write(&path, &bytes).unwrap();
+
+        let report = diagnose(&path);
+        for (c, t) in terms {
+            assert!(
+                report
+                    .problems
+                    .iter()
+                    .any(|p| p.contains(&format!("cluster {c}:"))
+                        && p.contains(&format!("term {t}:"))),
+                "doctor names no bad postings in cluster {c}: {:?}",
+                report.problems
+            );
+        }
+        assert_eq!(report.problems.len(), 2, "{:?}", report.problems);
+        assert_eq!(report.num_docs, clean.num_docs);
+        assert_eq!(report.num_clusters, clean.num_clusters);
+        assert_eq!(report.num_noise, clean.num_noise);
+        // The sound clusters are still audited.
+        assert_eq!(report.clusters.len(), clean.num_clusters - 2);
     }
 
     #[test]

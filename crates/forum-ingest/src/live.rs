@@ -13,16 +13,17 @@
 //! query path ([`LiveEpoch::top_k`]) is one more backend of the offline
 //! engine's Algorithm 2 ([`intentmatch::pipeline::run_algo2`]): its base
 //! side runs the shared per-cluster step, then merges the delta — so an
-//! epoch with an empty delta is bit-identical to
-//! [`intentmatch::QueryEngine`] over the base.
+//! epoch with an empty delta is bit-identical to the heap backend
+//! ([`intentmatch::HeapStore`]) over the base. `LiveEpoch` is a
+//! [`QuerySource`], so [`intentmatch::top_k_many`] batches over it.
 
 use forum_index::{DeltaIndex, ScanCosts, ScoreScratch};
-use intentmatch::par::WorkerPanic;
 use intentmatch::pipeline::{
     query_cluster_groups, ranges_terms, run_algo2, scan_cluster, QueryScratch, RefinedSegment,
     ScanSpec, WeightedHits,
 };
-use intentmatch::{IntentPipeline, PostCollection};
+use intentmatch::store::StoreError;
+use intentmatch::{IntentPipeline, PostCollection, QuerySource};
 use std::collections::HashSet;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -300,37 +301,11 @@ impl LiveEpoch {
     }
 
     /// The top-k documents related to live document `q`: Algorithm 1 + 2
-    /// over base and delta, with the paper's `n = 2k`. This is the runner
-    /// ([`intentmatch::pipeline::run_algo2`]) over `q`'s cluster groups,
-    /// with [`Self::scan_cluster_filtered`] as the step.
+    /// over base and delta, with the paper's `n = 2k` — the
+    /// [`QuerySource`] query on a fresh scratch.
     pub fn top_k(&self, q: u32, k: usize) -> Vec<(u32, f64)> {
-        forum_obs::Registry::global().incr("ingest/live_queries", 1);
-        let Some(groups) = self.query_groups(q) else {
-            return Vec::new();
-        };
-        let mut scratch = QueryScratch::new();
-        run_algo2(
-            &groups,
-            k,
-            None,
-            1,
-            &mut scratch,
-            |(cluster, terms), n, s| {
-                let mut delta_costs = ScanCosts::default();
-                let scan = self.scan_cluster_filtered(
-                    *cluster,
-                    terms,
-                    q,
-                    n,
-                    None,
-                    false,
-                    s,
-                    &mut delta_costs,
-                );
-                Ok(scan.map(|scan| scan.merged))
-            },
-        )
-        .unwrap_or_else(|e: WorkerPanic| panic!("{e}"))
+        self.query_top_k(q as usize, k, &mut QueryScratch::new())
+            .expect("a live query never fails")
     }
 
     /// One consulted cluster's merged base + delta scan for query `q` —
@@ -433,6 +408,37 @@ pub struct ClusterScan {
     pub base_ns: u64,
     /// Delta-scan wall time in nanoseconds (0 unless timing requested).
     pub delta_ns: u64,
+}
+
+/// The live backend of the batch runner ([`intentmatch::top_k_many`]):
+/// the runner ([`intentmatch::pipeline::run_algo2`]) over `q`'s cluster
+/// groups on the caller's scratch, with [`LiveEpoch::scan_cluster_filtered`]
+/// as the step. A document the epoch does not hold answers `[]`.
+impl QuerySource for LiveEpoch {
+    fn num_docs(&self) -> usize {
+        LiveEpoch::num_docs(self)
+    }
+
+    fn query_top_k(
+        &self,
+        q: usize,
+        k: usize,
+        scratch: &mut QueryScratch,
+    ) -> Result<Vec<(u32, f64)>, StoreError> {
+        forum_obs::Registry::global().incr("ingest/live_queries", 1);
+        let Ok(q) = u32::try_from(q) else {
+            return Ok(Vec::new());
+        };
+        let Some(groups) = self.query_groups(q) else {
+            return Ok(Vec::new());
+        };
+        run_algo2(&groups, k, None, scratch, |(cluster, terms), n, s| {
+            let mut delta_costs = ScanCosts::default();
+            let scan =
+                self.scan_cluster_filtered(*cluster, terms, q, n, None, false, s, &mut delta_costs);
+            Ok(scan.map(|scan| scan.merged))
+        })
+    }
 }
 
 /// The swap point between writers and readers: an `Arc`-of-epoch behind a

@@ -15,7 +15,7 @@
 use forum_corpus::{Corpus, Domain, GenConfig};
 use forum_ingest::{wal_path_for, IngestConfig, LiveStore};
 use intentmatch::pipeline::{ClusterIndex, PipelineConfig, RefinedSegment};
-use intentmatch::{store, IntentPipeline, PostCollection, QueryEngine};
+use intentmatch::{store, top_k_many, HeapStore, IntentPipeline, PostCollection};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -223,9 +223,12 @@ fn compact_is_bit_identical_to_direct_assembly() {
         .map(|&q| bits(&oracle_pipe.top_k(&oracle_coll, q, 5)))
         .collect();
     for threads in [1usize, 2, 4, 8] {
-        let engine = QueryEngine::new(&coll, &pipe).with_threads(threads);
-        let got: Vec<Vec<(u32, u64)>> = engine
-            .top_k_batch(&queries, 5)
+        let heap = HeapStore {
+            collection: &coll,
+            pipeline: &pipe,
+        };
+        let got: Vec<Vec<(u32, u64)>> = top_k_many(&heap, &queries, 5, threads)
+            .unwrap()
             .iter()
             .map(|h| bits(h))
             .collect();

@@ -10,7 +10,7 @@ use forum_ingest::{wal_path_for, ServeConfig};
 use forum_obs::json::Json;
 use forum_obs::{prometheus, EventLog, Registry};
 use harness::{bits, build_store, get, http, live_app, open_live, post, ranking_of, Served};
-use intentmatch::{store, QueryEngine};
+use intentmatch::store;
 use std::net::SocketAddr;
 
 #[test]
@@ -55,13 +55,12 @@ fn serve_app_end_to_end_over_a_real_socket() {
 
     // Queries: bit-identical to the offline engine over the same store.
     let (coll, pipe) = store::load(&store_path).unwrap();
-    let engine = QueryEngine::new(&coll, &pipe);
     for q in [0usize, 3, 17] {
         let (status, body) = post(addr, "/query", &format!("{{\"doc\": {q}, \"k\": 5}}"));
         assert_eq!(status, 200, "{body}");
         assert_eq!(
             bits(&ranking_of(&body)),
-            bits(&engine.top_k(q, 5)),
+            bits(&pipe.top_k(&coll, q, 5)),
             "query {q} must be bit-identical to the offline engine"
         );
     }
@@ -69,7 +68,7 @@ fn serve_app_end_to_end_over_a_real_socket() {
     // EXPLAIN: same ranking, plus the trace.
     let (status, body) = get(addr, "/query?doc=3&k=5&explain=1");
     assert_eq!(status, 200, "{body}");
-    assert_eq!(bits(&ranking_of(&body)), bits(&engine.top_k(3, 5)));
+    assert_eq!(bits(&ranking_of(&body)), bits(&pipe.top_k(&coll, 3, 5)));
     let v = Json::parse(body.trim()).unwrap();
     let explain = v.get("explain").expect("explain=1 must attach the trace");
     assert!(

@@ -1,10 +1,10 @@
 //! Worker-pool HTTP serving with bounded admission and deadline-aware
 //! load-shedding — the sharded serving tier's front door.
 //!
-//! [`crate::serve::HttpServer`] spawns a thread per connection, which is
-//! fine for telemetry scrapes but melts under query load: an overloaded
-//! process accumulates threads until the connection cap turns everything
-//! away. [`PoolServer`] inverts that shape:
+//! [`PoolServer`] is the one HTTP server of the workspace: the CLI's
+//! `serve`, the telemetry routes and the benchmark all run on it. A thread
+//! per connection would melt under query load, so it bounds both
+//! admission and parallelism instead:
 //!
 //! * a single blocking accept loop stamps every connection with an
 //!   admission deadline and pushes it into a bounded [`AdmissionQueue`]

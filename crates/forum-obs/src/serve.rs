@@ -1,11 +1,12 @@
-//! A zero-dependency HTTP/1.1 telemetry server on [`std::net::TcpListener`].
+//! Zero-dependency HTTP/1.1 plumbing and the standard telemetry routes.
 //!
 //! Two layers:
 //!
 //! * Protocol plumbing — [`Request`] (hand-rolled HTTP/1.1 parsing with a
-//!   bounded head read and a capped body), [`Response`], and [`HttpServer`]
-//!   (blocking accept loop, thread-per-connection with a small cap; over
-//!   the cap new connections get `503` without spawning). Connections are
+//!   bounded head read and a capped body), [`Response`], the [`Handler`]
+//!   type and the [`Stopper`] that ends an accept loop. The one server
+//!   that runs them is [`crate::PoolServer`] (bounded admission queue,
+//!   fixed worker pool, deadline-aware shedding). Connections are
 //!   `Connection: close` — scrapes are one-shot, keep-alive buys nothing.
 //! * [`TelemetryRoutes`] — the standard observability endpoints over a
 //!   [`Registry`] + [`EventLog`] + [`TraceStore`] + a pluggable
@@ -27,7 +28,7 @@ use crate::registry::Registry;
 use crate::trace::TraceStore;
 use crate::{export, prometheus};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
@@ -36,8 +37,6 @@ use std::time::{Duration, Instant, SystemTime};
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
-/// Default cap on concurrently handled connections.
-pub const DEFAULT_MAX_CONNECTIONS: usize = 16;
 /// Per-connection socket read timeout (bounds slow or stalled clients).
 pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// Cap on concurrently-draining shed responses; beyond it the connection
@@ -127,8 +126,8 @@ impl Response {
     }
 
     /// A `503` telling the client to come back after `retry_after_secs` —
-    /// the shared shape of every shedding path (connection cap, admission
-    /// queue overflow, deadline expiry).
+    /// the shared shape of every shedding path (admission queue overflow,
+    /// deadline expiry before pickup or before dispatch).
     pub fn shed(reason: &str, retry_after_secs: u64) -> Response {
         Response::text(503, format!("{reason}\n"))
             .with_header("Retry-After", retry_after_secs.to_string())
@@ -349,7 +348,7 @@ pub(crate) fn shed_off_loop(
     });
 }
 
-/// The handler type [`HttpServer::run`] dispatches to.
+/// The handler type [`PoolServer::run`](crate::PoolServer::run) dispatches to.
 pub type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
 /// Requests the accept loop to exit; cloneable into handler closures.
@@ -374,87 +373,6 @@ impl Stopper {
     /// Whether stop has been requested.
     pub fn is_stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-}
-
-/// A minimal threaded HTTP server.
-pub struct HttpServer {
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    max_connections: usize,
-}
-
-impl HttpServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    pub fn bind(addr: &str) -> std::io::Result<HttpServer> {
-        Ok(HttpServer {
-            listener: TcpListener::bind(addr)?,
-            stop: Arc::new(AtomicBool::new(false)),
-            max_connections: DEFAULT_MAX_CONNECTIONS,
-        })
-    }
-
-    /// Overrides the concurrent-connection cap.
-    pub fn with_max_connections(mut self, cap: usize) -> HttpServer {
-        self.max_connections = cap.max(1);
-        self
-    }
-
-    /// The bound address (read the ephemeral port from here).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// A handle that can stop the accept loop from another thread (or from
-    /// inside a handler).
-    pub fn stopper(&self) -> std::io::Result<Stopper> {
-        Ok(Stopper {
-            addr: self.listener.local_addr()?,
-            stop: self.stop.clone(),
-        })
-    }
-
-    /// Accepts and serves connections until [`Stopper::stop`] is called.
-    /// Each connection is parsed, dispatched to `handler`, answered, and
-    /// closed on its own thread; beyond `max_connections` concurrent
-    /// threads, connections are shed with `503` + `Retry-After` by a
-    /// capped pool of detached drain threads (see `shed_off_loop`).
-    ///
-    /// Shutdown is graceful: after the accept loop exits, `run` waits
-    /// (bounded) for in-flight connection threads to finish their
-    /// responses — a handler that triggers [`Stopper::stop`] still gets
-    /// its reply onto the wire before the caller proceeds to exit.
-    pub fn run(self, handler: Arc<Handler>) {
-        let active = Arc::new(AtomicUsize::new(0));
-        let shed_active = Arc::new(AtomicUsize::new(0));
-        for stream in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(mut stream) = stream else { continue };
-            let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-            if active.load(Ordering::SeqCst) >= self.max_connections {
-                Registry::global().incr("serve/shed_total", 1);
-                shed_off_loop(stream, "connection cap reached", 1, &shed_active);
-                continue;
-            }
-            active.fetch_add(1, Ordering::SeqCst);
-            let handler = handler.clone();
-            let active = active.clone();
-            std::thread::spawn(move || {
-                let response = match read_request(&mut stream) {
-                    Ok(req) => handler(&req),
-                    Err(resp) => resp,
-                };
-                let _ = response.write_to(&mut stream);
-                drain_and_close(&mut stream);
-                active.fetch_sub(1, Ordering::SeqCst);
-            });
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while active.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
     }
 }
 
@@ -701,7 +619,7 @@ mod tests {
     fn spawn_server(
         handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
     ) -> (SocketAddr, Stopper, std::thread::JoinHandle<()>) {
-        let server = HttpServer::bind("127.0.0.1:0").unwrap();
+        let server = crate::PoolServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap();
         let stopper = server.stopper().unwrap();
         let join = std::thread::spawn(move || server.run(Arc::new(handler)));
@@ -774,44 +692,6 @@ mod tests {
         assert_eq!(status, 413);
         stopper.stop();
         join.join().unwrap();
-    }
-
-    #[test]
-    fn connection_cap_503_carries_retry_after() {
-        let server = HttpServer::bind("127.0.0.1:0")
-            .unwrap()
-            .with_max_connections(1);
-        let addr = server.local_addr().unwrap();
-        let stopper = server.stopper().unwrap();
-        let join = std::thread::spawn(move || {
-            server.run(Arc::new(|_req: &Request| {
-                std::thread::sleep(Duration::from_millis(500));
-                Response::text(200, "slow ok")
-            }))
-        });
-        let registry = Registry::global();
-        let was = registry.is_enabled();
-        registry.set_enabled(true);
-        let shed_before = registry.snapshot().counter("serve/shed_total");
-        let slow = std::thread::spawn(move || request(addr, "GET /hold HTTP/1.1\r\n\r\n"));
-        std::thread::sleep(Duration::from_millis(100));
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"GET /over-cap HTTP/1.1\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.starts_with("HTTP/1.1 503"), "{raw}");
-        assert!(
-            raw.to_ascii_lowercase().contains("retry-after:"),
-            "cap 503 must carry Retry-After: {raw}"
-        );
-        assert!(
-            registry.snapshot().counter("serve/shed_total") > shed_before,
-            "cap 503 must count as a shed"
-        );
-        assert_eq!(slow.join().unwrap().0, 200);
-        stopper.stop();
-        join.join().unwrap();
-        registry.set_enabled(was);
     }
 
     #[test]

@@ -728,9 +728,8 @@ mod tests {
 
     #[test]
     fn sampler_integrates_with_a_stopper() {
-        use crate::serve::HttpServer;
         let registry: &'static Registry = Box::leak(Box::new(Registry::new()));
-        let server = HttpServer::bind("127.0.0.1:0").unwrap();
+        let server = crate::PoolServer::bind("127.0.0.1:0").unwrap();
         let stopper = server.stopper().unwrap();
         let ts = Arc::new(TimeSeries::new());
         let mut sampler = Sampler::builder(Duration::from_millis(5))

@@ -4,8 +4,7 @@
 //! On one seeded corpus, for each document `q`, the rankings of:
 //!
 //! * `IntentPipeline::top_k` (the heap reference),
-//! * `QueryEngine` at 1 and 4 threads, single-query and batch (the
-//!   4-thread engine scans a query's clusters on workers),
+//! * the batch runner `top_k_many` over `HeapStore` at 1 and 4 threads,
 //! * `StoreView` over mmap and over positioned reads,
 //! * `LiveEpoch::top_k` with an empty delta,
 //! * `ShardServeApp::handle` over 3 shards,
@@ -26,8 +25,8 @@ use forum_obs::json::Json;
 use forum_obs::serve::Request;
 use intentmatch::pipeline::QueryScratch;
 use intentmatch::{
-    explain, store, BackingMode, IntentPipeline, PipelineConfig, PostCollection, QueryEngine,
-    StoreView,
+    explain, store, top_k_many, BackingMode, HeapStore, IntentPipeline, PipelineConfig,
+    PostCollection, StoreView,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -91,12 +90,12 @@ fn every_backend_ranks_every_document_identically() {
     let n = coll.len();
     let queries: Vec<usize> = (0..n).collect();
 
-    let engine1 = QueryEngine::new(&coll, &pipe).with_threads(1);
-    let engine4 = QueryEngine::new(&coll, &pipe)
-        .with_threads(4)
-        .with_intra_query_min_clusters(1);
-    let batch1 = engine1.top_k_batch(&queries, K);
-    let batch4 = engine4.top_k_batch(&queries, K);
+    let heap = HeapStore {
+        collection: &coll,
+        pipeline: &pipe,
+    };
+    let batch1 = top_k_many(&heap, &queries, K, 1).unwrap();
+    let batch4 = top_k_many(&heap, &queries, K, 4).unwrap();
 
     let mmap = StoreView::open_with(&path, BackingMode::Mmap).unwrap();
     let pread = StoreView::open_with(&path, BackingMode::Pread).unwrap();
@@ -119,10 +118,8 @@ fn every_backend_ranks_every_document_identically() {
         let want = bits(&pipe.top_k(&coll, q, K));
         nonempty += usize::from(!want.is_empty());
         let got = [
-            ("engine/1", bits(&engine1.top_k(q, K))),
-            ("engine/4", bits(&engine4.top_k(q, K))),
-            ("engine/1 batch", bits(&batch1[q])),
-            ("engine/4 batch", bits(&batch4[q])),
+            ("heap batch/1", bits(&batch1[q])),
+            ("heap batch/4", bits(&batch4[q])),
             ("mmap", bits(&mmap.top_k(q, K, &mut scratch).unwrap())),
             ("pread", bits(&pread.top_k(q, K, &mut scratch).unwrap())),
             ("live", bits(&epoch.top_k(q as u32, K))),
@@ -151,7 +148,10 @@ fn every_backend_ranks_every_document_identically() {
 fn degenerate_k_is_empty_or_everything_on_every_backend() {
     let (path, coll, pipe) = seeded_store("k", 80);
     let n = coll.len();
-    let engine = QueryEngine::new(&coll, &pipe).with_threads(1);
+    let heap = HeapStore {
+        collection: &coll,
+        pipeline: &pipe,
+    };
     let view = StoreView::open(&path).unwrap();
     let mut scratch = QueryScratch::new();
     let mut live =
@@ -186,7 +186,9 @@ fn degenerate_k_is_empty_or_everything_on_every_backend() {
         type TopK<'a> = &'a dyn Fn(usize) -> Vec<(u32, f64)>;
         let backends: [(&str, usize, TopK); 4] = [
             ("heap", n, &|k| pipe.top_k(&coll, q, k)),
-            ("engine", n, &|k| engine.top_k(q, k)),
+            ("heap batch", n, &|k| {
+                top_k_many(&heap, &[q], k, 1).unwrap().remove(0)
+            }),
             ("mapped", n, &|k| {
                 view.top_k(q, k, &mut QueryScratch::new()).unwrap()
             }),

@@ -7,10 +7,13 @@
 //!   epoch a fresh `LiveStore::open` recovers by WAL replay.
 //! * Consecutive epochs share each pending document, delta unit and
 //!   tombstone set by allocation.
+//! * The batch runner over an epoch with pending writes answers every
+//!   document bit-identically to `LiveEpoch::top_k`, at every thread
+//!   count.
 
 use forum_corpus::{Corpus, Domain, GenConfig};
 use forum_ingest::{IngestConfig, LiveEpoch, LiveStore};
-use intentmatch::{store, IntentPipeline, PipelineConfig, PostCollection};
+use intentmatch::{store, top_k_many, IntentPipeline, PipelineConfig, PostCollection};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
@@ -162,6 +165,38 @@ fn live_epoch_equals_the_epoch_wal_replay_recovers() {
     }
     let all = 0..written.num_docs() as u32;
     assert_eq!(answers(&written, all.clone()), answers(&recovered, all));
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+}
+
+#[test]
+fn batch_over_a_pending_epoch_equals_single_queries() {
+    let path = store_copy("batch");
+    let mut live = open(&path);
+    let posts = new_posts(12);
+    let ids = live.add_batch(&posts[..10]).unwrap();
+    live.update(ids[0], &posts[10]).unwrap(); // pending doc rewritten
+    live.update(4, &posts[11]).unwrap(); // base doc rewritten
+    live.delete(ids[5]).unwrap(); // pending doc gone
+    live.delete(7).unwrap(); // base doc gone
+    let epoch = live.current();
+    assert!(epoch.has_pending());
+
+    let docs: Vec<usize> = (0..epoch.num_docs()).collect();
+    let bits = |hits: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        hits.iter().map(|&(d, s)| (d, s.to_bits())).collect()
+    };
+    let want: Vec<_> = docs
+        .iter()
+        .map(|&q| bits(&epoch.top_k(q as u32, K)))
+        .collect();
+    assert!(want.iter().filter(|hits| !hits.is_empty()).count() * 2 > docs.len());
+    for threads in [1usize, 4, 0] {
+        let got = top_k_many(&*epoch, &docs, K, threads).unwrap();
+        assert_eq!(got.len(), docs.len());
+        for (q, (hits, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(&bits(hits), want, "doc {q} at {threads} threads");
+        }
+    }
     std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }
 
